@@ -85,8 +85,8 @@ int main() {
       tc::tc_gemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
     });
     const double t_ec = bench::time_s([&] {
-      tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f,
-                    c.view());
+      bench::require_ok(tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(),
+                                      b.view(), 0.0f, c.view()));
     });
     std::printf("tc-gemm %.2f ms, ec-tcgemm %.2f ms -> overhead %.2fx (theory ~3x)\n",
                 t_tc * 1e3, t_ec * 1e3, t_ec / t_tc);
@@ -148,8 +148,8 @@ int main() {
     for (index_t leaf : {64, 128, 256, 512, 1024}) {
       tsqr::TsqrOptions opts;
       opts.leaf_rows = leaf;
-      const double t =
-          bench::time_s([&] { tsqr::tsqr_factor(a.view(), q.view(), r.view(), opts); });
+      const double t = bench::time_s(
+          [&] { bench::require_ok(tsqr::tsqr_factor(a.view(), q.view(), r.view(), opts)); });
       std::printf("leaf %5lld: %8.2f ms\n", static_cast<long long>(leaf), t * 1e3);
     }
   }

@@ -16,9 +16,18 @@
 #include <string>
 
 #include "src/common/context.hpp"
+#include "src/common/status.hpp"
 #include "src/common/timer.hpp"
 
 namespace tcevd::bench {
+
+/// Timings are only meaningful for calls that succeeded: abort the harness
+/// with the status text when a benchmarked call reports failure.
+inline void require_ok(const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "benchmarked call failed: %s\n", status.to_string().c_str());
+  std::abort();
+}
 
 inline void header(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");

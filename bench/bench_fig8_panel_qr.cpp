@@ -25,7 +25,7 @@ double measured_panel_sweep_s(index_t n, index_t b, sbr::PanelKind kind) {
     fill_normal(rng, panel.view());
     Matrix<float> w(p.m, b), y(p.m, b);
     total += bench::time_once_s(
-        [&] { sbr::panel_factor_wy(kind, panel.view(), w.view(), y.view()); });
+        [&] { bench::require_ok(sbr::panel_factor_wy(kind, panel.view(), w.view(), y.view())); });
   }
   return total;
 }

@@ -62,8 +62,8 @@ void BM_EcTcGemm(benchmark::State& state) {
   fill_normal(rng, a.view());
   fill_normal(rng, b.view());
   for (auto _ : state) {
-    tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(), b.view(), 0.0f,
-                  c.view());
+    bench::require_ok(tc::ec_tcgemm(blas::Trans::No, blas::Trans::No, 1.0f, a.view(),
+                                    b.view(), 0.0f, c.view()));
     benchmark::DoNotOptimize(c.data());
   }
 }
@@ -76,7 +76,7 @@ void BM_Tsqr(benchmark::State& state) {
   Matrix<float> a(m, b), q(m, b), r(b, b);
   fill_normal(rng, a.view());
   for (auto _ : state) {
-    tsqr::tsqr_factor(a.view(), q.view(), r.view());
+    bench::require_ok(tsqr::tsqr_factor(a.view(), q.view(), r.view()));
     benchmark::DoNotOptimize(q.data());
   }
 }
@@ -91,7 +91,8 @@ void BM_PanelFactorWy(benchmark::State& state) {
   Matrix<float> panel(m, b), w(m, b), y(m, b);
   for (auto _ : state) {
     copy_matrix<float>(a.view(), panel.view());
-    sbr::panel_factor_wy(sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view());
+    bench::require_ok(
+        sbr::panel_factor_wy(sbr::PanelKind::Tsqr, panel.view(), w.view(), y.view()));
     benchmark::DoNotOptimize(w.data());
   }
 }
@@ -160,7 +161,7 @@ void BM_Stedc(benchmark::State& state) {
     Matrix<double> z(n, n);
     set_identity(z.view());
     auto zv = z.view();
-    lapack::stedc<double>(d, e, &zv);
+    bench::require_ok(lapack::stedc<double>(d, e, &zv));
     benchmark::DoNotOptimize(d.data());
   }
 }
@@ -236,7 +237,7 @@ void BM_Steqr(benchmark::State& state) {
   for (auto _ : state) {
     auto d = d0;
     auto e = e0;
-    lapack::steqr<double>(d, e, nullptr);
+    bench::require_ok(lapack::steqr<double>(d, e, nullptr));
     benchmark::DoNotOptimize(d.data());
   }
 }

@@ -173,8 +173,7 @@ int main() {
     std::printf("\n");
     for (const char* key :
          {"service.queue", "service.stage.reduction", "service.stage.bulge",
-          "service.stage.solver", "service.stage.finish",
-          "service.stage.partial"}) {
+          "service.stage.solver", "service.stage.finish"}) {
       bool seen = false;
       for (const Telemetry::LatencyStat& l : telemetry.latencies())
         if (l.name == key && l.count > 0) seen = true;

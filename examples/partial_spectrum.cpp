@@ -14,7 +14,6 @@
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/evd/refine.hpp"
 #include "src/matgen/matgen.hpp"
 
@@ -32,7 +31,8 @@ int main() {
   opt.big_block = 64;
 
   // Selected solve: indices n-k .. n-1 are the k largest eigenvalues.
-  auto part = *evd::solve_selected(a.view(), ctx, opt, n - k, n - 1, /*vectors=*/true);
+  opt.vectors = true;
+  auto part = *evd::solve_selected(a.view(), ctx, opt, n - k, n - 1);
   if (!part.converged) return 1;
   const double res_coarse =
       evd::eigenpair_residual(a.view(), part.eigenvalues, part.vectors.view());

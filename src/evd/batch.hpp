@@ -43,8 +43,8 @@ struct BatchOptions {
   /// would only cost an idle Context.
   int num_threads = 0;
   /// Partial-spectrum mode: solve each problem for eigenvalue indices
-  /// [il, iu] (0-based, inclusive) via evd::solve_selected instead of the
-  /// full solve. evd.vectors then requests the selected vectors only.
+  /// [il, iu] (0-based, inclusive) exactly like evd::solve_selected instead
+  /// of the full solve. evd.vectors then requests the selected vectors only.
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
@@ -56,8 +56,9 @@ struct ProblemResult {
   std::vector<float> eigenvalues;  ///< ascending (iu-il+1 values when selected)
   Matrix<float> vectors;           ///< empty unless evd.vectors
   RecoveryLog recovery;            ///< per-problem degradation events
-  /// Per-problem verification verdict (evd.verify != Off, full solves only;
-  /// the selected-spectrum driver does not verify).
+  /// Per-problem verification verdict (evd.verify != Off, full solves only:
+  /// a selected window cannot be verified, so a selected batch with
+  /// evd.verify != Off fails each problem with InvalidArgument).
   verify::Report verify;
   int worker = -1;                 ///< pool worker that solved it (diagnostics)
   double seconds = 0.0;            ///< wall time of this problem's solve

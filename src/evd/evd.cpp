@@ -27,32 +27,90 @@ namespace {
 
 using blas::Trans;
 
+/// Eigenpairs il..iu of the tridiagonal (d, e), which stay untouched: Sturm
+/// bisection for the values and, when `q` is given, inverse iteration for the
+/// n x nev tridiagonal vectors Z and one back-transformation q * Z into
+/// `vectors`. With `ql_fallback`, a recoverable stein failure is repaired by
+/// a full QL solve whose columns il..iu replace Z; otherwise it propagates.
+Status solve_window(Workspace& ws, const std::vector<float>& d, const std::vector<float>& e,
+                    IndexWindow w, const Matrix<float>* q, bool ql_fallback,
+                    std::vector<float>& eigs, Matrix<float>& vectors) {
+  eigs = lapack::stebz<float>(d, e, w.il, w.iu);
+  if (q == nullptr) return ok_status();
+  const index_t n = static_cast<index_t>(d.size());
+  const index_t nev = w.iu - w.il + 1;
+  auto scope = ws.scope();
+  auto z = scope.matrix<float>(n, nev);
+  Status st = lapack::stein<float>(d, e, eigs, z);
+  if (!st.ok()) {
+    if (!ql_fallback || !is_recoverable(st)) return st;
+    // Slower (O(n^3) vs O(n * nev)) but unconditionally convergent in
+    // practice on the matrices QL handles.
+    recovery::note("evd.partial", "stein failed (" + st.to_string() +
+                                      "); recomputed selected vectors with full QL solve");
+    std::vector<float> dq = d, eq = e;
+    auto zfull = scope.matrix<float>(n, n);
+    set_identity(zfull);
+    MatrixView<float> zfv = zfull;
+    TCEVD_RETURN_IF_ERROR(lapack::steqr<float>(dq, eq, &zfv));
+    // steqr returns ascending eigenvalues, so columns il..iu line up with
+    // the bisection selection.
+    for (index_t j = 0; j < nev; ++j) {
+      eigs[static_cast<std::size_t>(j)] = dq[static_cast<std::size_t>(w.il + j)];
+      for (index_t i = 0; i < n; ++i) z(i, j) = zfull(i, w.il + j);
+    }
+  }
+  vectors = Matrix<float>(q->rows(), nev);
+  blas::gemm<float>(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(q->view()),
+                    ConstMatrixView<float>(z), 0.0f, vectors.view());
+  return ok_status();
+}
+
+/// One full-spectrum solver run: eigenvalues into d, eigenvectors folded
+/// into `q` (q := q * Z) when it is non-null.
 Status run_tri_solver(Workspace& ws, TriSolver solver, std::vector<float>& d,
-                      std::vector<float>& e, MatrixView<float>* z) {
+                      std::vector<float>& e, Matrix<float>* q) {
+  MatrixView<float> qv;
+  if (q != nullptr) qv = q->view();
   switch (solver) {
     case TriSolver::Ql:
-      return lapack::steqr<float>(d, e, z);
+      return lapack::steqr<float>(d, e, q != nullptr ? &qv : nullptr);
     case TriSolver::DivideConquer:
-      return lapack::stedc<float>(d, e, z);
+      return lapack::stedc<float>(d, e, q != nullptr ? &qv : nullptr);
     case TriSolver::Bisection: {
-      const index_t n = static_cast<index_t>(d.size());
-      auto eigs = lapack::stebz<float>(d, e, 0, n - 1);
-      if (z != nullptr) {
-        // Vectors via inverse iteration on the bisection values, then fold
-        // into the accumulated orthogonal factor: z := z * S.
-        auto scope = ws.scope();
-        auto s = scope.matrix<float>(n, n);
-        TCEVD_RETURN_IF_ERROR(lapack::stein<float>(d, e, eigs, s));
-        auto tmp = scope.matrix<float>(z->rows(), n);
-        blas::gemm<float>(Trans::No, Trans::No, 1.0f, ConstMatrixView<float>(*z),
-                          ConstMatrixView<float>(s), 0.0f, tmp);
-        copy_matrix<float>(ConstMatrixView<float>(tmp), *z);
-      }
-      std::copy(eigs.begin(), eigs.end(), d.begin());
+      // The window routine on [0, n - 1]; a stein failure is left to the
+      // solver fallback chain.
+      std::vector<float> eigs;
+      Matrix<float> v;
+      TCEVD_RETURN_IF_ERROR(solve_window(ws, d, e, {0, static_cast<index_t>(d.size()) - 1}, q,
+                                         /*ql_fallback=*/false, eigs, v));
+      d = std::move(eigs);
+      if (q != nullptr) *q = std::move(v);
       return ok_status();
     }
   }
   return Status(ErrorCode::Internal, "unknown tridiagonal solver");
+}
+
+/// Request data a job cannot solve: caller errors, reported as a Status
+/// rather than a process abort so one bad request in a stream fails alone.
+Status validate_request(ConstMatrixView<float> a, const EvdOptions& opt,
+                     const std::optional<IndexWindow>& window) {
+  const index_t n = a.rows();
+  if (a.cols() != n)
+    return invalid_argument_error("evd::solve: matrix is " + std::to_string(n) + " x " +
+                                  std::to_string(a.cols()) + ", not square symmetric");
+  if (!window) return ok_status();
+  if (!(0 <= window->il && window->il <= window->iu && window->iu < n))
+    return invalid_argument_error(
+        "evd::solve_selected: selected index range [il, iu] = [" +
+        std::to_string(window->il) + ", " + std::to_string(window->iu) +
+        "] invalid for n = " + std::to_string(n));
+  if (opt.verify != verify::Policy::Off)
+    return invalid_argument_error(
+        "evd::solve_selected: a selected window cannot be verified (the estimators need "
+        "the full eigensystem); set verify to Off");
+  return ok_status();
 }
 
 Status screen_input(ConstMatrixView<float> a, float asym_tol) {
@@ -109,9 +167,9 @@ std::unique_ptr<tc::GemmEngine> next_escalation_engine(tc::EngineKind kind,
 // (steps of one job may run on different scheduler threads).
 // ---------------------------------------------------------------------------
 
-SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt)
-    : a_(a), ctx_(ctx), opt_(opt) {
-  TCEVD_CHECK(a_.cols() == a_.rows(), "evd::solve requires a square symmetric matrix");
+SolveJob::SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+                   std::optional<IndexWindow> window)
+    : a_(a), ctx_(ctx), opt_(opt), window_(window) {
   if (opt_.abft) abft_.emplace();  // covers every attempt, escalations included
   // Trivial sizes never reach the pipeline (SBR needs bandwidth in [1, n)),
   // and never verify — matching the old solve() routing for n <= 1.
@@ -162,13 +220,12 @@ void SolveJob::step_reduction() {
   const index_t n = a_.rows();
   recovery::Scope scope;
 
-  if (opt_.screen_input) {
-    Status st = screen_input(a_, opt_.asymmetry_tol);
-    if (!st.ok()) {
-      append_log(attempt_log_, scope.take());
-      fail_attempt(st);
-      return;
-    }
+  Status st = validate_request(a_, opt_, window_);
+  if (st.ok() && opt_.screen_input) st = screen_input(a_, opt_.asymmetry_tol);
+  if (!st.ok()) {
+    append_log(attempt_log_, scope.take());
+    fail_attempt(st);
+    return;
   }
 
   if (n <= 1) {
@@ -284,36 +341,44 @@ void SolveJob::step_bulge() {
 void SolveJob::step_solver() {
   recovery::Scope scope;
   Timer ts;
-  MatrixView<float> zv = q_.view();
-  MatrixView<float>* zp = opt_.vectors ? &zv : nullptr;
-
-  // The solvers destroy d/e (and fold rotations into q), so keep restore
-  // points for the fallback chain.
-  std::vector<float> d0, e0;
-  MatrixView<float> q0;
-  if (opt_.allow_fallbacks) {
-    d0 = d_;
-    e0 = e_;
-    if (opt_.vectors) {
-      q0 = attempt_scope_->matrix<float>(q_.rows(), q_.cols());
-      copy_matrix<float>(ConstMatrixView<float>(q_.view()), q0);
+  Matrix<float>* qp = opt_.vectors ? &q_ : nullptr;
+  Status sst;
+  if (window_) {
+    // stebz + stein leave d/e and q intact, so no restore point is needed.
+    std::vector<float> eigs;
+    Matrix<float> v;
+    sst = solve_window(ctx_.workspace(), d_, e_, *window_, qp, opt_.allow_fallbacks, eigs, v);
+    d_ = std::move(eigs);
+    q_ = std::move(v);
+  } else {
+    // The solvers destroy d/e (and fold rotations into q), so keep restore
+    // points for the fallback chain.
+    std::vector<float> d0, e0;
+    MatrixView<float> q0;
+    if (opt_.allow_fallbacks) {
+      d0 = d_;
+      e0 = e_;
+      if (opt_.vectors) {
+        q0 = attempt_scope_->matrix<float>(q_.rows(), q_.cols());
+        copy_matrix<float>(ConstMatrixView<float>(q_.view()), q0);
+      }
     }
-  }
 
-  Status sst = run_tri_solver(ctx_.workspace(), opt_.solver, d_, e_, zp);
-  if (!sst.ok() && opt_.allow_fallbacks && is_recoverable(sst)) {
-    TriSolver tried = opt_.solver;
-    for (TriSolver fb : {TriSolver::DivideConquer, TriSolver::Ql, TriSolver::Bisection}) {
-      if (fb == opt_.solver) continue;
-      d_ = d0;
-      e_ = e0;
-      if (opt_.vectors) copy_matrix<float>(ConstMatrixView<float>(q0), q_.view());
-      recovery::note("evd.solver", std::string(tri_solver_name(tried)) + " failed (" +
-                                       sst.to_string() + "); retrying with " +
-                                       tri_solver_name(fb));
-      sst = run_tri_solver(ctx_.workspace(), fb, d_, e_, zp);
-      if (sst.ok() || !is_recoverable(sst)) break;
-      tried = fb;
+    sst = run_tri_solver(ctx_.workspace(), opt_.solver, d_, e_, qp);
+    if (!sst.ok() && opt_.allow_fallbacks && is_recoverable(sst)) {
+      TriSolver tried = opt_.solver;
+      for (TriSolver fb : {TriSolver::DivideConquer, TriSolver::Ql, TriSolver::Bisection}) {
+        if (fb == opt_.solver) continue;
+        d_ = d0;
+        e_ = e0;
+        if (opt_.vectors) copy_matrix<float>(ConstMatrixView<float>(q0), q_.view());
+        recovery::note("evd.solver", std::string(tri_solver_name(tried)) + " failed (" +
+                                         sst.to_string() + "); retrying with " +
+                                         tri_solver_name(fb));
+        sst = run_tri_solver(ctx_.workspace(), fb, d_, e_, qp);
+        if (sst.ok() || !is_recoverable(sst)) break;
+        tried = fb;
+      }
     }
   }
   result_.timings.solver_s = ts.seconds();
@@ -495,8 +560,9 @@ const char* tri_solver_name(TriSolver solver) noexcept {
   return "?";
 }
 
-StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt) {
-  SolveJob job(a, ctx, opt);
+namespace {
+
+StatusOr<EvdResult> run_to_completion(SolveJob& job) {
   while (!job.done()) job.step();
   StatusOr<EvdResult> out = job.take();
   if (!out.ok()) {
@@ -506,6 +572,19 @@ StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptio
     for (const RecoveryEvent& ev : job.dropped_events()) recovery::note(ev.site, ev.action);
   }
   return out;
+}
+
+}  // namespace
+
+StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt) {
+  SolveJob job(a, ctx, opt);
+  return run_to_completion(job);
+}
+
+StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
+                                   const EvdOptions& opt, index_t il, index_t iu) {
+  SolveJob job(a, ctx, opt, IndexWindow{il, iu});
+  return run_to_completion(job);
 }
 
 // Deprecated compatibility overload: per-thread scratch context (see

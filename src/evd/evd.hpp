@@ -129,8 +129,8 @@ struct EvdTimings {
 };
 
 struct EvdResult {
-  std::vector<float> eigenvalues;  ///< ascending
-  Matrix<float> vectors;           ///< n x n (empty unless requested)
+  std::vector<float> eigenvalues;  ///< ascending (iu - il + 1 for a window)
+  Matrix<float> vectors;           ///< n x n, n x nev for a window (empty unless requested)
   EvdTimings timings;
   bool converged = false;
   /// Every graceful-degradation event taken while solving (panel QR
@@ -152,12 +152,25 @@ struct EvdResult {
 /// steady-state test); per-stage wall time and the aggregated recovery log
 /// additionally land on the context's telemetry.
 ///
-/// Failure semantics: invalid input (NaN/Inf/asymmetric) is InvalidInput;
+/// Failure semantics: a non-square matrix is InvalidArgument; invalid input
+/// (NaN/Inf/asymmetric) is InvalidInput;
 /// recoverable numerical trouble first walks the documented fallbacks
 /// (TSQR -> blocked QR panels, fp32 GEMM retry, solver chain) and only
 /// propagates if every fallback is exhausted. A returned EvdResult is
 /// always converged; `recovery` says what it took.
 StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
+
+/// Eigenpairs with indices il..iu (0-based, inclusive, ascending order) of
+/// symmetric `a`: the same SolveJob pipeline as solve, with the solver stage
+/// restricted to the window (Sturm bisection, inverse iteration for the
+/// n x nev tridiagonal vectors, one back-transformation GEMM). opt.vectors
+/// requests the vectors; opt.solver is ignored. If inverse iteration fails
+/// and opt.allow_fallbacks is set, the window's vectors are recomputed from a
+/// full QL solve (recovery site "evd.partial"). InvalidArgument for a
+/// non-square matrix, an index range outside [0, n), or opt.verify != Off —
+/// the verification estimators need the full eigensystem.
+StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
+                                   const EvdOptions& opt, index_t il, index_t iu);
 
 /// Deprecated: routes through the per-thread scratch Context of
 /// `compat_context(engine)` (warm arena after the first call). New code

@@ -8,10 +8,11 @@
 // each request is a SolveJob (src/evd/solve_job.hpp) that advances one stage
 // (reduction -> bulge -> solver -> verify) per scheduling turn, so a worker
 // never idles behind one problem's long stage while other requests have
-// runnable work. Because a job executes the identical step sequence as
-// sequential evd::solve on a private Context, per-request results are
-// bitwise-identical to evd::solve — the service changes scheduling, never
-// numerics.
+// runnable work. A selected-spectrum request is the same job with an index
+// window, stepped through the same stages. Because a job executes the
+// identical step sequence as sequential evd::solve (evd::solve_selected for
+// a window) on a private Context, per-request results are bitwise-identical
+// to those calls — the service changes scheduling, never numerics.
 //
 // Admission control: at most ServiceOptions::max_in_flight requests may be
 // submitted-but-not-completed; past that, submit() blocks (Block) or returns
@@ -34,10 +35,10 @@
 // Telemetry: per-problem evd.* stages land on the solving Context exactly as
 // in a sequential solve; the service additionally records, under its own
 // aggregate sink, "service.queue" (admission-to-first-stage wait) and
-// "service.stage.<reduction|bulge|solver|finish|partial>" (per-step wall
-// time), each both as a StageStat (throughput) and a LatencyStat (histogram
-// quantiles). telemetry_snapshot() merges the service sink with every idle
-// pooled Context; call it quiescent (after wait_all) for complete numbers.
+// "service.stage.<reduction|bulge|solver|finish>" (per-step wall time), each
+// both as a StageStat (throughput) and a LatencyStat (histogram quantiles).
+// telemetry_snapshot() merges the service sink with every idle pooled
+// Context; call it quiescent (after wait_all) for complete numbers.
 //
 // Thread-safety: submit/wait/wait_all/stats/telemetry_snapshot may be called
 // from any thread, concurrently. The submitted matrix view is borrowed and
@@ -92,8 +93,10 @@ struct ServiceOptions {
 /// Per-request configuration: the solve itself plus scheduling attributes.
 struct RequestOptions {
   EvdOptions evd;
-  /// Partial-spectrum mode: eigenvalue indices [il, iu] (0-based, inclusive)
-  /// via evd::solve_selected; evd.vectors then requests the selected vectors.
+  /// Partial-spectrum mode: eigenvalue indices [il, iu] (0-based, inclusive),
+  /// solved as a windowed SolveJob exactly like evd::solve_selected;
+  /// evd.vectors then requests the selected vectors. A window cannot be
+  /// verified: evd.verify != Off fails the request with InvalidArgument.
   bool selected = false;
   index_t il = 0;
   index_t iu = 0;
@@ -116,7 +119,7 @@ struct RequestResult {
   std::vector<float> eigenvalues;  ///< ascending (iu-il+1 values when selected)
   Matrix<float> vectors;           ///< empty unless evd.vectors
   RecoveryLog recovery;            ///< per-request degradation events
-  verify::Report verify;           ///< full solves with evd.verify != Off only
+  verify::Report verify;           ///< evd.verify != Off only (full spectrum)
   int worker = -1;                 ///< runner that completed the final stage
   double seconds = 0.0;            ///< first stage start -> completion
   /// 1-based service-wide completion ordinal: request k was the

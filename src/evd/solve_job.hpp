@@ -4,12 +4,17 @@
 // A SolveJob owns one problem's in-flight state (workspace scope, partial
 // factorizations, verification attempt bookkeeping) and advances one pipeline
 // stage per step() call: reduction (SBR / sytrd) -> bulge chasing ->
-// tridiagonal solver -> verification. The synchronous evd::solve is a loop of
-// step() calls on the caller's thread; the streaming EvdService runs the same
-// steps on pool workers, picking which job advances next at every boundary.
-// Because both drivers execute the identical step sequence on one Context,
-// the service's results are bitwise-identical to sequential evd::solve by
-// construction.
+// tridiagonal solver -> verification. The synchronous evd::solve and
+// evd::solve_selected are loops of step() calls on the caller's thread; the
+// streaming EvdService runs the same steps on pool workers, picking which job
+// advances next at every boundary. Because both drivers execute the
+// identical step sequence on one Context, the service's results are
+// bitwise-identical to the sequential calls by construction.
+//
+// A job solves either the full spectrum or an eigenvalue index window
+// [il, iu]. The window changes only the solver stage: Sturm bisection on the
+// window, inverse iteration for its nev tridiagonal vectors, and one n x nev
+// back-transformation GEMM (EvdOptions::solver is ignored).
 //
 // Threading: a job is not thread-safe, but it has no thread affinity —
 // successive steps may run on different threads as long as calls are
@@ -33,6 +38,12 @@
 
 namespace tcevd::evd {
 
+/// Eigenvalue index window [il, iu]: 0-based, inclusive, ascending order.
+struct IndexWindow {
+  index_t il = 0;
+  index_t iu = 0;
+};
+
 class SolveJob {
  public:
   enum class Stage { Reduction, Bulge, Solver, Finish, Done };
@@ -40,8 +51,11 @@ class SolveJob {
   /// `a` and `ctx` are borrowed and must outlive the job; the context must
   /// not be used by anything else until the job is done (it holds a live
   /// workspace scope — and, while escalated, an engine override — between
-  /// steps).
-  SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt);
+  /// steps). Without `window` the job solves the full spectrum. Request
+  /// errors (non-square `a`, a window outside [0, n), a window with
+  /// opt.verify != Off) fail the first step with InvalidArgument.
+  SolveJob(ConstMatrixView<float> a, Context& ctx, const EvdOptions& opt,
+           std::optional<IndexWindow> window = std::nullopt);
   ~SolveJob();
   SolveJob(const SolveJob&) = delete;
   SolveJob& operator=(const SolveJob&) = delete;
@@ -79,6 +93,7 @@ class SolveJob {
   ConstMatrixView<float> a_;
   Context& ctx_;
   EvdOptions opt_;
+  std::optional<IndexWindow> window_;
   std::optional<blas::abft::AbftScope> abft_;  // spans every attempt, like solve()
 
   // Verification attempt loop (mirrors the old solve_verified locals).

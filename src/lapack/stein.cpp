@@ -1,5 +1,6 @@
 #include "src/lapack/stein.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -104,15 +105,21 @@ Status stein(const std::vector<T>& d, const std::vector<T>& e,
   Rng rng(0x57e17ull + static_cast<std::uint64_t>(n));
   index_t first_failed = -1;
   index_t cluster_start = 0;
+  T prev_shift{};
+  std::vector<T> coef(static_cast<std::size_t>(nev));  // Gram-Schmidt projections
 
   for (index_t j = 0; j < nev; ++j) {
     T lambda = eigenvalues[static_cast<std::size_t>(j)];
     if (j > 0) {
-      const T prev = eigenvalues[static_cast<std::size_t>(j - 1)];
-      if (lambda - prev > cluster_gap) cluster_start = j;
-      // Perturb exact duplicates so the shifted factorization differs.
-      if (lambda <= prev) lambda = prev + eps * anorm;
+      if (lambda - eigenvalues[static_cast<std::size_t>(j - 1)] > cluster_gap) cluster_start = j;
+      // Keep the shifts of (near-)repeated eigenvalues apart, as LAPACK
+      // sstein does: step from the previous *perturbed* shift, so a run of
+      // duplicates fans out instead of collapsing onto one shift.
+      const T pertol =
+          std::max(T{10} * eps * std::abs(lambda), std::numeric_limits<T>::min());
+      if (lambda - prev_shift < pertol) lambda = prev_shift + pertol;
     }
+    prev_shift = lambda;
 
     // Factor (T - lambda I).
     std::vector<T> dl(e.begin(), e.end());
@@ -138,10 +145,17 @@ Status stein(const std::vector<T>& d, const std::vector<T>& e,
         T{0.01} / (static_cast<T>(n) * eps * std::max(anorm, std::numeric_limits<T>::min()));
     for (int iter = 0; iter < 8; ++iter) {
       tri_solve(dl, dd, du, du2, swapped, x.data());
-      // Reorthogonalize against the current cluster.
-      for (index_t c = cluster_start; c < j; ++c) {
-        const T dot = blas::dot(n, &z(0, c), 1, x.data(), 1);
-        blas::axpy(n, -dot, &z(0, c), 1, x.data(), 1);
+      // Reorthogonalize against the current cluster. The solve amplifies the
+      // cluster directions by up to 1/eps, so one Gram-Schmidt pass leaves
+      // O(1) overlap behind; a second pass restores orthogonality. Classical
+      // Gram-Schmidt run twice is as stable as the modified variant, and its
+      // projections are independent, so each pass is two gemv calls.
+      if (j > cluster_start) {
+        const ConstMatrixView<T> zc(z.sub(0, cluster_start, n, j - cluster_start));
+        for (int pass = 0; pass < 2; ++pass) {
+          blas::gemv(blas::Trans::Yes, T{1}, zc, x.data(), 1, T{0}, coef.data(), 1);
+          blas::gemv(blas::Trans::No, T{-1}, zc, coef.data(), 1, T{1}, x.data(), 1);
+        }
       }
       const T norm = blas::nrm2(n, x.data(), 1);
       if (norm == T{}) {  // deflated away: restart from fresh randomness

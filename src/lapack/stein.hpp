@@ -5,7 +5,8 @@
 // by a few iterations of (T - lambda I) x_{k+1} = x_k with a pivoted
 // tridiagonal solve, starting from a deterministic pseudo-random vector.
 // Vectors belonging to clustered eigenvalues are Gram-Schmidt
-// reorthogonalized against their cluster, as in LAPACK.
+// reorthogonalized (twice) against their cluster, and shifts of repeated
+// eigenvalues are kept apart, as in LAPACK.
 #pragma once
 
 #include <vector>

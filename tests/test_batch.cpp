@@ -320,8 +320,11 @@ TEST_F(SolveManyFaultTest, InvalidInputFailsAloneWithoutInjection) {
 
   EXPECT_EQ(res.num_ok(), batch.size() - 1);
   EXPECT_EQ(res.problems[2].status.code(), ErrorCode::InvalidInput);
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    if (i != 2) EXPECT_TRUE(res.problems[i].status.ok()) << "problem " << i;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (i != 2) {
+      EXPECT_TRUE(res.problems[i].status.ok()) << "problem " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

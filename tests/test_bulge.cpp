@@ -166,7 +166,9 @@ void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q,
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) {
       EXPECT_EQ(serial(i, j), wave(i, j)) << "A(" << i << "," << j << ")";
-      if (with_q) EXPECT_EQ(q_serial(i, j), q_wave(i, j)) << "Q(" << i << "," << j << ")";
+      if (with_q) {
+        EXPECT_EQ(q_serial(i, j), q_wave(i, j)) << "Q(" << i << "," << j << ")";
+      }
     }
 }
 

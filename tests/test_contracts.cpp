@@ -4,6 +4,7 @@
 // are NOT contracts — they return Status and are covered in test_fault.cpp.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -11,7 +12,6 @@
 #include "src/common/recovery.hpp"
 #include "src/blas/blas.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/svd/svd.hpp"
 #include "src/tsqr/tsqr.hpp"
@@ -107,6 +107,48 @@ TEST(Contracts, PartialBadRangeIsInvalidArgument) {
     EXPECT_EQ(res.status().code(), ErrorCode::InvalidArgument);
     EXPECT_NE(res.status().message().find("range"), std::string::npos);
   }
+}
+
+// A non-square matrix is request data too: both drivers return a Status.
+TEST(Contracts, NonSquareSolveIsInvalidArgument) {
+  Matrix<float> rect(6, 4);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  evd::EvdOptions opt;
+  auto full = evd::solve(rect.view(), ctx, opt);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(full.status().message().find("not square"), std::string::npos);
+  auto sel = evd::solve_selected(rect.view(), ctx, opt, 0, 1);
+  ASSERT_FALSE(sel.ok());
+  EXPECT_EQ(sel.status().code(), ErrorCode::InvalidArgument);
+}
+
+// Verification estimates need the full eigensystem, so a windowed solve with
+// a verify policy is refused instead of silently returning unverified.
+TEST(Contracts, VerifiedWindowIsInvalidArgument) {
+  auto a = test::random_symmetric<float>(16, 4);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  evd::EvdOptions opt;
+  for (verify::Policy policy : {verify::Policy::Estimate, verify::Policy::EstimateEscalate}) {
+    opt.verify = policy;
+    auto res = evd::solve_selected(a.view(), ctx, opt, 0, 3);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(res.status().message().find("verif"), std::string::npos);
+  }
+}
+
+// Windowed solves get the same input screen as full ones.
+TEST(Contracts, NanInputToSolveSelectedIsInvalidInput) {
+  auto a = test::random_symmetric<float>(16, 4);
+  a(3, 5) = std::numeric_limits<float>::quiet_NaN();
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  auto res = evd::solve_selected(a.view(), ctx, {}, 0, 3);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::InvalidInput);
 }
 
 TEST_F(ContractsDeath, SvdWideInputAborts) {

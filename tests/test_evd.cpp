@@ -7,7 +7,6 @@
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/matgen/matgen.hpp"
 #include "test_util.hpp"
 
@@ -221,7 +220,7 @@ TEST(Evd, TrivialSizesSolveInsteadOfAborting) {
   EXPECT_LE(r2->eigenvalues[0], r2->eigenvalues[1]);
 
   // solve_selected shares the trivial path.
-  auto sel = evd::solve_selected(a1.view(), ctx, opt, 0, 0, /*vectors=*/true);
+  auto sel = evd::solve_selected(a1.view(), ctx, opt, 0, 0);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(sel->eigenvalues[0], -3.25f);
 }

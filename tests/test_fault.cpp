@@ -16,7 +16,6 @@
 #include "src/common/status.hpp"
 #include "src/tsqr/reconstruct_wy.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/lapack/stein.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/matgen/matgen.hpp"
@@ -406,7 +405,9 @@ TEST_F(FaultTest, SolveSelectedRecoversFromSteinFailure) {
   fault::arm(fault::Site::SteinStagnate, 1);
   tc::Fp32Engine engine;
   Context ctx(engine);
-  auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, {}, 0, 9, true);
+  evd::EvdOptions opt;
+  opt.vectors = true;
+  auto res = evd::solve_selected(ConstMatrixView<float>(a.view()), ctx, opt, 0, 9);
   ASSERT_TRUE(res.ok()) << res.status().to_string();
   EXPECT_EQ(fault::fired(fault::Site::SteinStagnate), 1);
   bool noted = false;

@@ -7,7 +7,6 @@
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/evd/refine.hpp"
 #include "src/matgen/matgen.hpp"
 #include "src/svd/svd.hpp"

@@ -9,11 +9,9 @@
 // leave nothing to grow).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -21,74 +19,11 @@
 #include "src/common/fault.hpp"
 #include "src/common/recovery.hpp"
 #include "src/evd/evd.hpp"
-#include "src/evd/partial.hpp"
 #include "src/evd/service.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
+#include "tests/heap_counter.hpp"
 #include "tests/test_util.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter backing the steady-state allocation-parity
-// regression below (same methodology as test_workspace.cpp: replacing the
-// global operator new/delete pair is the only way to observe library-internal
-// heap allocations from a test).
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, sz ? sz : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t sz, std::align_val_t al) { return ::operator new(sz, al); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(sz ? sz : 1);
-}
-void* operator new[](std::size_t sz, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, tag);
-}
-void* operator new(std::size_t sz, std::align_val_t al, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  return posix_memalign(&p, align, sz ? sz : 1) == 0 ? p : nullptr;
-}
-void* operator new[](std::size_t sz, std::align_val_t al, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, al, tag);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace tcevd {
 namespace {
@@ -185,7 +120,7 @@ TEST_F(ServiceTest, SelectedRequestsMatchSolveSelected) {
   ASSERT_TRUE(got.status.ok()) << got.status.to_string();
 
   Context ref_ctx(eng);
-  auto want = evd::solve_selected(a.view(), ref_ctx, ropt.evd, ropt.il, ropt.iu, true);
+  auto want = evd::solve_selected(a.view(), ref_ctx, ropt.evd, ropt.il, ropt.iu);
   ASSERT_TRUE(want.ok());
   expect_bitwise_equal(got.eigenvalues, want->eigenvalues, "selected");
   expect_bitwise_equal(got.vectors, want->vectors, "selected");
@@ -362,12 +297,21 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   evd::ServiceOptions sopt;
   sopt.num_threads = 2;
   evd::EvdService service(eng, sopt);
-  const int count = 4;
+  // Four full-spectrum requests and two selected windows: a window steps
+  // through the same stages as a full solve.
+  const int count = 6;
   std::vector<Matrix<float>> mats;
   for (int i = 0; i < count; ++i) mats.push_back(test::random_symmetric<float>(64, 200 + i));
   std::vector<evd::RequestId> ids;
   for (int i = 0; i < count; ++i) {
-    auto id = service.submit(mats[static_cast<std::size_t>(i)].view(), {});
+    evd::RequestOptions ropt;
+    if (i >= 4) {
+      ropt.evd.vectors = true;
+      ropt.selected = true;
+      ropt.il = 10;
+      ropt.iu = 19;
+    }
+    auto id = service.submit(mats[static_cast<std::size_t>(i)].view(), ropt);
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
@@ -387,6 +331,8 @@ TEST_F(ServiceTest, TelemetryRecordsQueueAndStageTiers) {
   // Per-problem pipeline stages arrive via the pooled contexts.
   EXPECT_EQ(stage_calls("evd.reduction"), count);
   EXPECT_EQ(stage_calls("evd.solver"), count);
+  for (const auto& st : t.stages()) EXPECT_NE(st.name, "service.stage.partial");
+  for (const auto& l : t.latencies()) EXPECT_NE(l.name, "service.stage.partial");
 
   bool found_solver_latency = false;
   for (const auto& l : t.latencies())
@@ -524,7 +470,7 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
   std::vector<evd::RequestId> ids(static_cast<std::size_t>(per_round), 0);
 
   auto run_round = [&]() -> std::uint64_t {
-    const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = test::heap_allocs();
     for (int i = 0; i < per_round; ++i)
       ids[static_cast<std::size_t>(i)] =
           *service.submit(mats[static_cast<std::size_t>(i)].view(), ropt);
@@ -532,7 +478,7 @@ TEST_F(ServiceTest, SteadyStateStreamHasAllocationParityAcrossRounds) {
       evd::RequestResult r = service.wait(ids[static_cast<std::size_t>(i)]);
       if (!r.status.ok()) ADD_FAILURE() << r.status.to_string();
     }
-    return g_heap_allocs.load(std::memory_order_relaxed) - before;
+    return test::heap_allocs() - before;
   };
 
   run_round();  // warm-up: slots, contexts, telemetry tables, vector capacities

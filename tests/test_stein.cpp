@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/norms.hpp"
+#include "src/common/verify.hpp"
 #include "src/lapack/stein.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "test_util.hpp"
@@ -75,6 +76,30 @@ TEST(Stein, ClusteredEigenvaluesStayOrthogonal) {
   Matrix<double> z(n, n);
   ASSERT_TRUE(lapack::stein<double>(d, e, eigs, z.view()).ok());
   EXPECT_LT(orthogonality_residual<double>(z.view()), 1e-8 * n);
+}
+
+TEST(Stein, TripleRepeatedEigenvalueStaysOrthogonal) {
+  // Three identical 2 x 2 blocks [[2, 1], [1, 2]] split by zero couplings:
+  // eigenvalues 1 and 3, each exactly triple. Shifts for a run of duplicates
+  // must step from the previous perturbed shift, or the second and third
+  // copies share one singular factorization and inverse iteration blows up.
+  const std::vector<float> d(6, 2.0f);
+  const std::vector<float> e = {1.0f, 0.0f, 1.0f, 0.0f, 1.0f};
+  const index_t n = 6;
+  auto eigs = lapack::stebz<float>(d, e, 0, n - 1);
+  Matrix<float> z(n, n);
+  const Status st = lapack::stein<float>(d, e, eigs, z.view());
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_LE(orthogonality_residual<float>(z.view()),
+            verify::thresholds_for(tc::EngineKind::Fp32, n).orthogonality);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) {
+      float tz = d[static_cast<std::size_t>(i)] * z(i, j) -
+                 eigs[static_cast<std::size_t>(j)] * z(i, j);
+      if (i > 0) tz += e[static_cast<std::size_t>(i - 1)] * z(i - 1, j);
+      if (i + 1 < n) tz += e[static_cast<std::size_t>(i)] * z(i + 1, j);
+      EXPECT_LT(std::abs(tz), 1e-5f) << "(T - lambda I) z, row " << i << ", column " << j;
+    }
 }
 
 TEST(Stein, MatchesSteqrUpToSign) {

@@ -3,10 +3,7 @@
 // guarantees the Context refactor exists to provide.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "src/blas/blas.hpp"
 #include "src/bulge/bulge_chasing.hpp"
@@ -18,72 +15,8 @@
 #include "src/evd/evd.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
+#include "heap_counter.hpp"
 #include "test_util.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter backing the steady-state zero-allocation
-// regression below: replacing the global operator new/delete pair is the only
-// way to observe a library-internal heap allocation from a test.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-// Over-aligned and nothrow paths: without these the compiler falls back to
-// the default implementations and library allocations taken through them
-// would slip past g_heap_allocs, silently under-counting the regression.
-void* operator new(std::size_t sz, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, sz ? sz : 1) != 0) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t sz, std::align_val_t al) { return ::operator new(sz, al); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-
-void* operator new(std::size_t sz, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(sz ? sz : 1);
-}
-void* operator new[](std::size_t sz, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, tag);
-}
-void* operator new(std::size_t sz, std::align_val_t al, const std::nothrow_t&) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align =
-      static_cast<std::size_t>(al) < sizeof(void*) ? sizeof(void*)
-                                                   : static_cast<std::size_t>(al);
-  void* p = nullptr;
-  return posix_memalign(&p, align, sz ? sz : 1) == 0 ? p : nullptr;
-}
-void* operator new[](std::size_t sz, std::align_val_t al, const std::nothrow_t& tag) noexcept {
-  return ::operator new(sz, al, tag);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace tcevd {
 namespace {
@@ -339,14 +272,14 @@ TEST(Workspace, SteadyStateGemmAndTcGemmAreAllocationFree) {
   blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
   tc::tc_gemm(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.0f, c.view());
 
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::heap_allocs();
   blas::gemm<float>(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::Yes, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::No, Trans::Yes, 1.0f, a.view(), b.view(), 0.5f, c.view());
   blas::gemm<float>(Trans::Yes, Trans::Yes, 1.0f, a.view(), b.view(), 0.5f, c.view());
   tc::tc_gemm(Trans::No, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
   tc::tc_gemm(Trans::Yes, Trans::No, 1.0f, a.view(), b.view(), 0.5f, c.view());
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::heap_allocs();
   EXPECT_EQ(after, before) << (after - before)
                            << " heap allocations in steady-state gemm/tc_gemm calls";
 }
@@ -377,11 +310,11 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   const long spills = ctx.workspace().spill_count();
 
   Matrix<double> w1 = a, w2 = a;  // copies made BEFORE the measured window
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::heap_allocs();
   auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, w1.view(), bw, nullptr, wopt);
-  const std::uint64_t mid = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t mid = test::heap_allocs();
   auto r_serial = bulge::bulge_chase<double>(w2.view(), bw, nullptr);
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::heap_allocs();
 
   EXPECT_EQ(mid - before, after - mid)
       << "wavefront chase allocated " << (mid - before) << " vs serial " << (after - mid);
