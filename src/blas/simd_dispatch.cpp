@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "src/blas/gemm_microkernel_scalar.hpp"
+#include "src/blas/rot_kernel_scalar.hpp"
 #include "src/blas/simd_kernels_avx2.hpp"
 #include "src/common/half.hpp"
 
@@ -162,12 +163,47 @@ bool check_convert_kernels() {
   return true;
 }
 
+// Rotation sweeps over a column-major block: row counts around the vector
+// widths exercise every tail path, a skip marker and signed zeros in the data
+// catch a kernel that applies a skipped rotation as the identity, and the
+// full-block memcmp proves columns outside the rotated planes stay untouched.
+template <typename T>
+bool check_rot_sweep(RotSweepFn<T> vec, T (*draw)(std::uint32_t&)) {
+  constexpr index_t kCols = 12;
+  constexpr index_t kMaxRows = 37;
+  constexpr index_t kRots = 5;
+  T base[kMaxRows * kCols];
+  T ref[kMaxRows * kCols];
+  T got[kMaxRows * kCols];
+  T cs[2 * kRots];
+  std::uint32_t seed = 0x5eed0b1eu;
+  for (index_t i = 0; i < kMaxRows * kCols; ++i)
+    base[i] = (i % 5 == 0) ? ((i % 2 == 0) ? T{0} : -T{0}) : draw(seed);
+  for (index_t j = 0; j < kRots; ++j) {
+    cs[2 * j] = draw(seed) / T{2};
+    cs[2 * j + 1] = draw(seed) / T{2};
+  }
+  cs[2 * 2] = kRotSkip<T>;
+  for (const index_t h : {index_t{1}, index_t{3}, index_t{4}, index_t{7}, index_t{8},
+                          index_t{9}, index_t{16}, index_t{23}, kMaxRows}) {
+    for (const index_t stride : {index_t{1}, index_t{2}}) {
+      std::memcpy(ref, base, sizeof base);
+      std::memcpy(got, base, sizeof base);
+      rot_sweep_scalar<T>(ref, h, h, 1, stride, kRots, cs);
+      vec(got, h, h, 1, stride, kRots, cs);
+      if (std::memcmp(ref, got, sizeof ref) != 0) return false;
+    }
+  }
+  return true;
+}
+
 bool run_avx2_selfcheck() {
   return check_micro_kernels<float>(&avx2::micro_kernel_f32, &avx2::micro_kernel_pair_f32,
                                     &lcg_f32) &&
          check_micro_kernels<double>(&avx2::micro_kernel_f64, &avx2::micro_kernel_pair_f64,
                                      &lcg_f64) &&
-         check_convert_kernels();
+         check_convert_kernels() && check_rot_sweep<float>(&avx2::rot_sweep_f32, &lcg_f32) &&
+         check_rot_sweep<double>(&avx2::rot_sweep_f64, &lcg_f64);
 }
 
 #endif  // TCEVD_HAVE_AVX2
@@ -195,6 +231,8 @@ Resolution resolve_now() {
     r.table.round_tf32 = &avx2::round_tf32_buffer;
     r.table.ec_split_fp16 = &avx2::ec_split_fp16_buffer;
     r.table.ec_split_tf32 = &avx2::ec_split_tf32_buffer;
+    r.table.rot_sweep_f32 = &avx2::rot_sweep_f32;
+    r.table.rot_sweep_f64 = &avx2::rot_sweep_f64;
     r.table.name = "avx2";
   }
 #endif

@@ -1,5 +1,6 @@
-// Runtime SIMD dispatch for the packed GEMM micro-kernels and the Tensor
-// Core operand-convert loops — pinned bitwise to the scalar reference.
+// Runtime SIMD dispatch for the packed GEMM micro-kernels, the Tensor Core
+// operand-convert loops and the bulge chase's rotation-sweep kernel — pinned
+// bitwise to the scalar reference.
 //
 // Resolution happens once, at first use, in three steps:
 //
@@ -8,8 +9,9 @@
 //   2. cpuid probe: the AVX2 family needs AVX2 + F16C (fp16 converts).
 //   3. bitwise self-check: before a vector kernel table is installed it is
 //      run against the scalar reference (gemm_microkernel_scalar.hpp,
-//      src/common/half.cpp) on probe problems covering remainder tiles,
-//      fp16 subnormal/overflow boundaries and FMA-sensitive random data; ANY
+//      rot_kernel_scalar.hpp, src/common/half.cpp) on probe problems covering
+//      remainder tiles and row tails, skipped rotations, signed zeros, fp16
+//      subnormal/overflow boundaries and FMA-sensitive random data; ANY
 //      bit of disagreement falls the process back to scalar. This is what
 //      "pinned bitwise" means operationally: a compiler that contracted the
 //      vector mul/add into an FMA, or hardware whose conversions deviate
@@ -48,6 +50,10 @@ using MicroKernelPairF64 = void (*)(index_t kc, const double* ap1, const double*
 using RoundBufferFn = void (*)(const float* src, float* dst, index_t n);
 using EcSplitBufferFn = void (*)(const float* src, float* head, float* tail, index_t n,
                                  float scale);
+/// Signature of blas::rot_sweep_scalar (rot_kernel_scalar.hpp).
+template <typename T>
+using RotSweepFn = void (*)(T* q, index_t ld, index_t h, index_t i0, index_t stride,
+                            index_t count, const T* cs);
 
 /// Resolved kernel family. A null entry means "no vector kernel — run the
 /// scalar reference inline".
@@ -60,6 +66,8 @@ struct KernelTable {
   RoundBufferFn round_tf32 = nullptr;
   EcSplitBufferFn ec_split_fp16 = nullptr;
   EcSplitBufferFn ec_split_tf32 = nullptr;
+  RotSweepFn<float> rot_sweep_f32 = nullptr;
+  RotSweepFn<double> rot_sweep_f64 = nullptr;
   Level level = Level::Scalar;
   const char* name = "scalar";
 };

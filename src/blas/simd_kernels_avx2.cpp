@@ -23,7 +23,8 @@
 //      integer AVX2 as a lane-parallel transcription of round_to_tf32.
 //
 // Remainders: mr < 8 spills the accumulator to an aligned temp and finishes
-// with the scalar writeback; n % 8 convert tails run the scalar reference.
+// with the scalar writeback; n % 8 convert tails and the row tails of the
+// rotation sweeps run the scalar reference.
 #include "src/blas/simd_kernels_avx2.hpp"
 
 #ifdef TCEVD_HAVE_AVX2
@@ -33,6 +34,7 @@
 #include <algorithm>
 
 #include "src/blas/gemm_microkernel_scalar.hpp"
+#include "src/blas/rot_kernel_scalar.hpp"
 #include "src/common/half.hpp"
 
 namespace tcevd::blas::simd::avx2 {
@@ -274,6 +276,86 @@ void ec_split_tf32_buffer(const float* src, float* head, float* tail, index_t n,
     head[i] = h;
     tail[i] = round_to_tf32(scale * (src[i] - h));
   }
+}
+
+namespace {
+
+// One rotation over rows [0, h) of the column pair (x, y), one lane per row:
+// lane r computes exactly rot_pair_scalar's x' = c*x + s*y and
+// y' = (-s)*x + c*y with separate mul and add.
+struct VecF32 {
+  using T = float;
+  using V = __m256;
+  static constexpr index_t kWidth = 8;
+  static V set1(T v) { return _mm256_set1_ps(v); }
+  static V load(const T* p) { return _mm256_loadu_ps(p); }
+  static void store(T* p, V v) { _mm256_storeu_ps(p, v); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+};
+
+struct VecF64 {
+  using T = double;
+  using V = __m256d;
+  static constexpr index_t kWidth = 4;
+  static V set1(T v) { return _mm256_set1_pd(v); }
+  static V load(const T* p) { return _mm256_loadu_pd(p); }
+  static void store(T* p, V v) { _mm256_storeu_pd(p, v); }
+  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V add(V a, V b) { return _mm256_add_pd(a, b); }
+};
+
+template <typename Vec>
+void rot_pair_vec(typename Vec::T* x, typename Vec::T* y, index_t h, typename Vec::T c,
+                  typename Vec::T s) {
+  using V = typename Vec::V;
+  constexpr index_t w = Vec::kWidth;
+  const V vc = Vec::set1(c);
+  const V vs = Vec::set1(s);
+  const V vns = Vec::set1(-s);
+  index_t r = 0;
+  // Two vectors per step: independent chains hide the mul/add latency.
+  for (; r + 2 * w <= h; r += 2 * w) {
+    const V x0 = Vec::load(x + r);
+    const V x1 = Vec::load(x + r + w);
+    const V y0 = Vec::load(y + r);
+    const V y1 = Vec::load(y + r + w);
+    Vec::store(x + r, Vec::add(Vec::mul(vc, x0), Vec::mul(vs, y0)));
+    Vec::store(x + r + w, Vec::add(Vec::mul(vc, x1), Vec::mul(vs, y1)));
+    Vec::store(y + r, Vec::add(Vec::mul(vns, x0), Vec::mul(vc, y0)));
+    Vec::store(y + r + w, Vec::add(Vec::mul(vns, x1), Vec::mul(vc, y1)));
+  }
+  for (; r + w <= h; r += w) {
+    const V x0 = Vec::load(x + r);
+    const V y0 = Vec::load(y + r);
+    Vec::store(x + r, Vec::add(Vec::mul(vc, x0), Vec::mul(vs, y0)));
+    Vec::store(y + r, Vec::add(Vec::mul(vns, x0), Vec::mul(vc, y0)));
+  }
+  rot_pair_scalar(x + r, y + r, h - r, c, s);
+}
+
+template <typename Vec>
+void rot_sweep_vec(typename Vec::T* q, index_t ld, index_t h, index_t i0, index_t stride,
+                   index_t count, const typename Vec::T* cs) {
+  using T = typename Vec::T;
+  for (index_t j = 0; j < count; ++j) {
+    const T c = cs[2 * j];
+    if (c == kRotSkip<T>) continue;
+    T* x = q + (i0 + j * stride) * ld;
+    rot_pair_vec<Vec>(x, x + ld, h, c, cs[2 * j + 1]);
+  }
+}
+
+}  // namespace
+
+void rot_sweep_f32(float* q, index_t ld, index_t h, index_t i0, index_t stride,
+                   index_t count, const float* cs) {
+  rot_sweep_vec<VecF32>(q, ld, h, i0, stride, count, cs);
+}
+
+void rot_sweep_f64(double* q, index_t ld, index_t h, index_t i0, index_t stride,
+                   index_t count, const double* cs) {
+  rot_sweep_vec<VecF64>(q, ld, h, i0, stride, count, cs);
 }
 
 }  // namespace tcevd::blas::simd::avx2

@@ -1,69 +1,76 @@
 #include "src/bulge/bulge_chasing.hpp"
 
 #include <algorithm>
+#include <optional>
 
+#include "src/bulge/bulge_kernels.hpp"
+#include "src/bulge/q_update.hpp"
 #include "src/common/context.hpp"
+#include "src/common/workspace.hpp"
 #include "src/sbr/band.hpp"
 
 namespace tcevd::bulge {
 
+namespace {
+
 template <typename T>
-BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q,
-                           QRowProfile q_profile) {
+BulgeResult<T> chase_serial(MatrixView<T> a, index_t bw, MatrixView<T>* q, Workspace& ws,
+                            Telemetry* telemetry) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase requires a square matrix");
   TCEVD_CHECK(bw >= 1, "bulge_chase bandwidth must be >= 1");
   if (q) TCEVD_CHECK(q->cols() == n, "bulge_chase Q must have n columns");
 
-  // Optional Q support windows (only when the caller vouched for a band
-  // profile). The serial driver keeps them in short-lived vectors — the
-  // zero-steady-state-allocation path is the Context overloads below, and
-  // those route band-profiled Q through the same windows held in the arena
-  // via the wavefront driver when it is engaged.
-  std::vector<index_t> q_lo, q_hi;
-  detail::QSupport qs;
-  if (q != nullptr && q_profile.band >= 0) {
-    q_lo.resize(static_cast<std::size_t>(n));
-    q_hi.resize(static_cast<std::size_t>(n));
-    qs.lo = q_lo.data();
-    qs.hi = q_hi.data();
-    detail::init_q_support(qs, n, q->rows(), q_profile.band);
-  }
+  Workspace::Scope scope(ws);
+  std::optional<QUpdate<T>> qu;
+  if (q != nullptr) qu.emplace(*q, ws, telemetry, nullptr, 1);
+  T* log = qu ? qu->log() : nullptr;
 
   // Peel diagonals d = bw, bw-1, ..., 2 (distance-1 entries remain). Sweep s
   // zeroes column s of the d-th diagonal and chases the resulting bulge off
   // the matrix; the (d, s, k) indexing is shared with the wavefront driver
   // (bulge_wavefront.cpp), which runs the same chase_elim calls in a
-  // dependency-respecting order.
+  // dependency-respecting order. Q follows once per diagonal, from the log.
   for (index_t d = std::min(bw, n - 1); d >= 2; --d) {
+    T* sweep_log = log;
     for (index_t s = 0; s + d < n; ++s) {
       const index_t len = detail::sweep_length(n, d, s);
       for (index_t k = 0; k < len; ++k) {
-        detail::chase_elim(a, q, n, d, s, k, qs);
+        detail::chase_elim(a, n, d, s, k, sweep_log);
       }
+      if (sweep_log != nullptr) sweep_log += 2 * len;
     }
+    if (qu) qu->apply(d);
   }
+  if (qu) qu->finish();
 
   BulgeResult<T> out;
   sbr::extract_tridiag<T>(a, out.d, out.e);
   return out;
 }
 
-template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t,
-                                               MatrixView<float>*, QRowProfile);
+}  // namespace
+
+template <typename T>
+BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q) {
+  Workspace ws;  // holds the rotation log; stays empty without Q
+  return chase_serial(a, bw, q, ws, nullptr);
+}
+
+template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t, MatrixView<float>*);
 template BulgeResult<double> bulge_chase<double>(MatrixView<double>, index_t,
-                                                 MatrixView<double>*, QRowProfile);
+                                                 MatrixView<double>*);
 
 BulgeResult<float> bulge_chase(Context& ctx, MatrixView<float> a, index_t bw,
-                               MatrixView<float>* q, QRowProfile q_profile) {
+                               MatrixView<float>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
-  return bulge_chase<float>(a, bw, q, q_profile);
+  return chase_serial(a, bw, q, ctx.workspace(), &ctx.telemetry());
 }
 
 BulgeResult<double> bulge_chase(Context& ctx, MatrixView<double> a, index_t bw,
-                                MatrixView<double>* q, QRowProfile q_profile) {
+                                MatrixView<double>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
-  return bulge_chase<double>(a, bw, q, q_profile);
+  return chase_serial(a, bw, q, ctx.workspace(), &ctx.telemetry());
 }
 
 }  // namespace tcevd::bulge

@@ -7,29 +7,18 @@
 // difference between the two paths would break the equality the test suite
 // pins. Both drivers therefore execute chase iterations through the one
 // chase_elim below — there is exactly one place that computes (c, s) and
-// applies a rotation.
+// applies a rotation to the band. chase_elim does not touch Q: it writes
+// (c, s) into the diagonal's rotation log, and the Q update (q_update.hpp)
+// replays that log after the diagonal is chased.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 
+#include "src/blas/rot_kernel_scalar.hpp"
 #include "src/common/matrix.hpp"
 
 namespace tcevd::bulge {
-
-/// Optional hint about the nonzero row profile of the Q being accumulated.
-/// band < 0 means dense (every rotation updates all q.rows() rows — the safe
-/// default, and what evd::solve passes for the SBR-accumulated Q). band >= 0
-/// asserts that on entry q(k, j) == 0 for |k - j| > band (band == 0 is the
-/// identity), which lets the chase maintain per-column support windows and
-/// skip rows where both rotated columns are exactly zero. The window rule is
-/// deterministic and identical in the serial and wavefront drivers, so a
-/// hinted run is bitwise-reproducible across schedules and thread counts.
-/// A hint that overstates the sparsity silently corrupts Q — it is trusted.
-struct QRowProfile {
-  index_t band = -1;
-};
-
 namespace detail {
 
 /// Two-sided Givens rotation A <- G^T A G in the plane (i, i+1), touching
@@ -53,81 +42,62 @@ inline void apply_sym_rotation(MatrixView<T> a, index_t i, T c, T s, index_t lo,
   }
 }
 
-/// Right-multiply q by the same rotation (accumulates the similarity),
-/// touching only rows [row_lo, row_hi). Rows outside the window must hold
-/// exact zeros in both columns — the rotation maps a (0, 0) pair to (0, 0),
-/// so skipping them leaves Q equal (as values) to the full-row loop.
-template <typename T>
-inline void apply_q_rotation(MatrixView<T> q, index_t i, T c, T s, index_t row_lo,
-                             index_t row_hi) {
-  const index_t j = i + 1;
-  for (index_t k = row_lo; k < row_hi; ++k) {
-    const T t1 = q(k, i);
-    const T t2 = q(k, j);
-    q(k, i) = c * t1 + s * t2;
-    q(k, j) = -s * t1 + c * t2;
-  }
-}
-
-/// Per-column nonzero row windows of Q: column j's nonzeros lie in
-/// [lo[j], hi[j]). Null pointers mean dense (no tracking, full-row updates).
-/// A rotation in the plane (i, i+1) unions the two columns' windows — the
-/// union is exact under column mixing, so the maintained windows never
-/// under-cover and the skipped rows are guaranteed zero pairs.
-struct QSupport {
-  index_t* lo = nullptr;
-  index_t* hi = nullptr;
-};
-
 /// Number of chase iterations of sweep `s` at diagonal distance `d`:
 /// the bulge lands at rows s + d, s + 2d, ... while they stay below n.
 inline index_t sweep_length(index_t n, index_t d, index_t s) { return (n - 1 - s) / d; }
+
+/// Rotations of sweeps 0 .. s-1 at diagonal distance d: the log slot of
+/// elimination (s, 0). Closed form of the prefix sum of sweep_length, using
+/// sum_{t=0}^{m} floor(t/d) = d q (q-1)/2 + q (r+1) with m = q d + r.
+inline index_t sweep_offset(index_t n, index_t d, index_t s) {
+  const auto floor_sum = [d](index_t m) {
+    if (m < 0) return index_t{0};
+    const index_t q = m / d;
+    const index_t r = m % d;
+    return d * q * (q - 1) / 2 + q * (r + 1);
+  };
+  return floor_sum(n - 1) - floor_sum(n - 1 - s);
+}
+
+/// Log slots of the whole diagonal d (sweeps 0 .. n-d-1). Largest at d = 2,
+/// about n^2 / 4.
+inline index_t diagonal_rotations(index_t n, index_t d) { return sweep_offset(n, d, n - d); }
 
 /// One chase iteration: elimination k of sweep s at diagonal distance d.
 /// k == 0 zeroes the original outer-diagonal entry (s + d, s); every later k
 /// zeroes the bulge the previous iteration pushed d rows further down. The
 /// iteration index fully determines the touched entries, so drivers need no
 /// per-sweep cursor state beyond k itself.
+///
+/// `sweep_log` (nullable) is the log of sweep s, i.e. the diagonal's log at
+/// slot sweep_offset(n, d, s), two entries per slot: (c, s) of the rotation
+/// in the plane (row - 1, row), or c == blas::kRotSkip<T> when the entry was
+/// already zero. Slots are fixed by (s, k), so concurrent sweeps write
+/// disjoint entries.
 template <typename T>
-inline void chase_elim(MatrixView<T> a, MatrixView<T>* q, index_t n, index_t d,
-                       index_t s, index_t k, QSupport qs) {
+inline void chase_elim(MatrixView<T> a, index_t n, index_t d, index_t s, index_t k,
+                       T* sweep_log) {
   const index_t tcol = (k == 0) ? s : s + k * d - 1;
   const index_t row = s + (k + 1) * d;
   const T f = a(row - 1, tcol);
   const T g = a(row, tcol);
-  if (g != T{}) {
-    const T h = std::hypot(f, g);
-    const T c = f / h;
-    const T sn = g / h;
-    // Window: the rotated rows/cols carry entries within the current band
-    // (+1 for the live bulge) around indices row-1, row.
-    const index_t lo = tcol;
-    const index_t hi = std::min(n, row + d + 1);
-    apply_sym_rotation(a, row - 1, c, sn, lo, hi);
-    a(row, tcol) = T{};  // exact zero by construction
-    a(tcol, row) = T{};
-    if (q != nullptr) {
-      const index_t i = row - 1;
-      index_t wlo = 0;
-      index_t whi = q->rows();
-      if (qs.lo != nullptr) {
-        wlo = std::min(qs.lo[i], qs.lo[i + 1]);
-        whi = std::max(qs.hi[i], qs.hi[i + 1]);
-      }
-      apply_q_rotation(*q, i, c, sn, wlo, whi);
-      if (qs.lo != nullptr) {
-        qs.lo[i] = qs.lo[i + 1] = wlo;
-        qs.hi[i] = qs.hi[i + 1] = whi;
-      }
-    }
+  if (g == T{}) {
+    if (sweep_log != nullptr) sweep_log[2 * k] = blas::kRotSkip<T>;
+    return;
   }
-}
-
-/// Initialize QSupport windows for a Q with the given row profile.
-inline void init_q_support(QSupport qs, index_t n, index_t q_rows, index_t band) {
-  for (index_t j = 0; j < n; ++j) {
-    qs.lo[j] = std::max<index_t>(0, j - band);
-    qs.hi[j] = std::min<index_t>(q_rows, j + band + 1);
+  const T h = std::hypot(f, g);
+  const T c = f / h;
+  const T sn = g / h;
+  // Window: the rotated rows/cols carry entries within the current band
+  // (+1 for the live bulge) around indices row-1, row.
+  const index_t lo = tcol;
+  const index_t hi = std::min(n, row + d + 1);
+  apply_sym_rotation(a, row - 1, c, sn, lo, hi);
+  a(row, tcol) = T{};  // exact zero by construction
+  a(tcol, row) = T{};
+  if (sweep_log != nullptr) {
+    sweep_log[2 * k] = c;
+    sweep_log[2 * k + 1] = sn;
   }
 }
 

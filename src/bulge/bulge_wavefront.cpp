@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <new>
+#include <optional>
 #include <string>
 #include <type_traits>
 
+#include "src/bulge/bulge_kernels.hpp"
+#include "src/bulge/q_update.hpp"
 #include "src/common/context.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
@@ -25,8 +28,7 @@ namespace {
 template <typename T>
 struct ChaseShared {
   MatrixView<T> a;
-  MatrixView<T>* q = nullptr;
-  detail::QSupport qs;
+  T* log = nullptr;  // the diagonal's rotation log; null without Q
   index_t n = 0;
   index_t d = 0;
   index_t nsweeps = 0;
@@ -49,9 +51,12 @@ void run_block(ChaseShared<T>& st, index_t b) {
   const index_t nb = std::min(st.block, st.nsweeps - s0);
   index_t len[kMaxSweepBlock];
   index_t done[kMaxSweepBlock];
+  T* sweep_log[kMaxSweepBlock];
   for (index_t j = 0; j < nb; ++j) {
     len[j] = detail::sweep_length(st.n, st.d, s0 + j);
     done[j] = 0;
+    sweep_log[j] =
+        st.log != nullptr ? st.log + 2 * detail::sweep_offset(st.n, st.d, s0 + j) : nullptr;
   }
   const index_t prev_len = (s0 > 0) ? detail::sweep_length(st.n, st.d, s0 - 1) : 0;
   for (index_t h = st.chunk;; h += st.chunk) {
@@ -70,11 +75,11 @@ void run_block(ChaseShared<T>& st, index_t b) {
           }
         }
         for (index_t k = done[j]; k < target; ++k) {
-          detail::chase_elim(st.a, st.q, st.n, st.d, s0 + j, k, st.qs);
+          detail::chase_elim(st.a, st.n, st.d, s0 + j, k, sweep_log[j]);
         }
         done[j] = target;
         // Release: the next block's acquire spin on this sweep must see every
-        // matrix/Q write up to elimination target-1.
+        // band write up to elimination target-1.
         st.progress[s0 + j].store(target, std::memory_order_release);
       }
       if (done[j] < len[j]) all_done = false;
@@ -99,11 +104,15 @@ void lane_trampoline(void* ctx, long /*lane_index*/) {
 
 }  // namespace
 
-std::size_t wavefront_workspace_bytes(index_t n) {
+template <typename T>
+std::size_t wavefront_workspace_bytes(index_t n, bool with_q) {
   const std::size_t count = static_cast<std::size_t>(n > 0 ? n : 1);
-  return count * sizeof(std::atomic<index_t>) + 2 * count * sizeof(index_t) +
-         3 * Workspace::kAlignment;
+  return count * sizeof(std::atomic<index_t>) + Workspace::kAlignment +
+         (with_q ? QUpdate<T>::workspace_bytes(n) : 0);
 }
+
+template std::size_t wavefront_workspace_bytes<float>(index_t, bool);
+template std::size_t wavefront_workspace_bytes<double>(index_t, bool);
 
 template <typename T>
 BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
@@ -119,17 +128,22 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
   static_assert(std::is_trivially_destructible_v<std::atomic<index_t>>,
                 "progress vector is rewound by Scope, never destroyed");
   std::atomic<index_t>* progress = nullptr;
-  detail::QSupport qs;
   if (n > 0) {
     void* raw = ctx.workspace().alloc_bytes(static_cast<std::size_t>(n) *
                                             sizeof(std::atomic<index_t>));
     progress = static_cast<std::atomic<index_t>*>(raw);
     for (index_t i = 0; i < n; ++i) new (progress + i) std::atomic<index_t>(0);
-    if (q != nullptr && opt.q_profile.band >= 0) {
-      qs.lo = ctx.workspace().alloc<index_t>(static_cast<std::size_t>(n));
-      qs.hi = ctx.workspace().alloc<index_t>(static_cast<std::size_t>(n));
-      detail::init_q_support(qs, n, q->rows(), opt.q_profile.band);
-    }
+  }
+
+  // Lanes of one fan-out: the pool's workers plus the caller, capped.
+  long max_lanes = 1;
+  if (opt.pool != nullptr) {
+    max_lanes = static_cast<long>(opt.pool->size()) + 1;
+    if (opt.max_lanes > 0) max_lanes = std::min<long>(max_lanes, opt.max_lanes);
+  }
+  std::optional<QUpdate<T>> qu;
+  if (q != nullptr) {
+    qu.emplace(*q, ctx.workspace(), &ctx.telemetry(), opt.pool, static_cast<int>(max_lanes));
   }
 
   const index_t block = std::clamp<index_t>(opt.sweep_block, 1, kMaxSweepBlock);
@@ -140,8 +154,7 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
 
     ChaseShared<T> st;
     st.a = a;
-    st.q = q;
-    st.qs = qs;
+    st.log = qu ? qu->log() : nullptr;
     st.n = n;
     st.d = d;
     st.nsweeps = nsweeps;
@@ -152,9 +165,7 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
 
     bool pooled = false;
     if (opt.pool != nullptr && st.nblocks > 1 && !ThreadPool::on_worker_thread()) {
-      long nlanes = static_cast<long>(opt.pool->size()) + 1;  // caller steals too
-      if (opt.max_lanes > 0) nlanes = std::min<long>(nlanes, opt.max_lanes);
-      nlanes = std::min<long>(nlanes, static_cast<long>(st.nblocks));
+      const long nlanes = std::min<long>(max_lanes, static_cast<long>(st.nblocks));
       if (nlanes > 1) {
         pooled = opt.pool->try_broadcast(nlanes, &lane_trampoline<T>, &st);
       }
@@ -164,7 +175,10 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
     // applies the identical rotation sequence.
     if (!pooled) lane(st);
     ctx.telemetry().record_stage("bulge.chase.sweep", fanout.seconds());
+    // The join above published every log slot of diagonal d.
+    if (qu) qu->apply(d);
   }
+  if (qu) qu->finish();
 
   ctx.telemetry().record_stage("bulge.chase.wavefront", total.seconds());
   BulgeResult<T> out;

@@ -15,9 +15,12 @@
 // — the gap-2 rule. DESIGN.md §14 proves that every pair of rotation
 // applications this rule leaves unordered touches disjoint matrix entries,
 // so ANY schedule respecting it — any lane count, block size, or tile height
-// — applies the exact serial rotation sequence to every memory location and
-// the output (tridiagonal d/e AND accumulated Q) is bitwise-equal to
-// bulge_chase for every thread count. The test suite pins this.
+// — applies the exact serial rotation sequence to every band entry, and the
+// tridiagonal d/e is bitwise-equal to bulge_chase for every thread count.
+// The lanes log each elimination's rotation into a slot fixed by (s, k);
+// after each diagonal's join, QUpdate (q_update.hpp) applies the log to
+// lane-private packed row blocks of Q on the same pool, so the accumulated Q
+// is bitwise-equal too. The test suite pins both.
 #pragma once
 
 #include <cstddef>
@@ -40,32 +43,39 @@ struct WavefrontOptions {
   ThreadPool* pool = nullptr;
   /// Consecutive sweeps advanced together by one lane (cache blocking).
   /// Clamped to [1, kMaxSweepBlock]. Output does not depend on it.
-  index_t sweep_block = 8;
+  index_t sweep_block = 4;
   /// Band rows a sweep advances per wavestep (the tile height); the chunk of
   /// eliminations published at once is max(1, tile_rows / d). Output does
-  /// not depend on it.
-  index_t tile_rows = 192;
-  /// Cap on broadcast lanes; 0 means pool size + 1 (the caller participates).
+  /// not depend on it. The defaults (4, 32) chased an n = 1024, b = 32 fp32
+  /// band in about 0.13 s on four lanes, against about 0.19 s for (8, 192).
+  index_t tile_rows = 32;
+  /// Cap on broadcast lanes, for the chase and for the Q update's row
+  /// blocks; 0 means pool size + 1 (the caller participates).
   int max_lanes = 0;
-  /// Row profile of the accumulated Q (see QRowProfile; default dense).
-  QRowProfile q_profile{};
 };
 
-/// Upper bound on the context-workspace bytes bulge_chase_wavefront checks
-/// out for an n x n problem (progress vector + Q support windows). Add this
-/// to lwork-style reservations alongside evd/sbr workspace_query.
-std::size_t wavefront_workspace_bytes(index_t n);
+/// Upper bound on the context-workspace bytes bulge_chase_wavefront<T>
+/// checks out for an n x n problem: the progress vector and, with Q, the
+/// rotation log and the packed Q row blocks. It also bounds the Context
+/// overload of the serial bulge_chase. Add it to lwork-style reservations
+/// alongside evd/sbr workspace_query.
+template <typename T>
+std::size_t wavefront_workspace_bytes(index_t n, bool with_q);
+
+extern template std::size_t wavefront_workspace_bytes<float>(index_t, bool);
+extern template std::size_t wavefront_workspace_bytes<double>(index_t, bool);
 
 /// Hard cap on WavefrontOptions::sweep_block (per-lane stack state is sized
 /// by it).
 inline constexpr index_t kMaxSweepBlock = 32;
 
 /// Reduce symmetric band `a` (full storage, bandwidth `bw`) to tridiagonal,
-/// bitwise-equal to bulge_chase(a, bw, q, opt.q_profile) for every pool /
-/// lane count / blocking choice. Elapsed time lands on the context telemetry
-/// under "bulge.chase.wavefront" (total) and "bulge.chase.sweep" (summed
-/// per-diagonal fan-out windows). Progress state lives in the context
-/// workspace arena — steady-state calls allocate nothing.
+/// bitwise-equal to bulge_chase(a, bw, q) for every pool / lane count /
+/// blocking choice. Elapsed time lands on the context telemetry under
+/// "bulge.chase.wavefront" (total), "bulge.chase.sweep" (summed per-diagonal
+/// fan-out windows) and, with Q, "bulge.q_update" (the Q update). Progress
+/// state, rotation log and packed Q blocks live in the context workspace
+/// arena — steady-state calls allocate nothing.
 template <typename T>
 BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
                                      MatrixView<T>* q = nullptr,

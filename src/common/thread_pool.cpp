@@ -238,7 +238,12 @@ void ThreadPool::worker_loop(int /*worker_id*/) {
         broadcast_participate();
         continue;
       }
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
+      if (queue_.empty()) {
+        if (stop_) return;  // nothing left to drain
+        // Woken for a broadcast whose indices the other participants claimed
+        // (lock-free) before this re-check: keep waiting, do not exit.
+        continue;
+      }
       task = std::move(queue_.front());
       queue_.pop_front();
       ++in_flight_;

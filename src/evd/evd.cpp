@@ -605,13 +605,13 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   // Reduction stage: SBR arena peak, or the one-stage n x n scratch.
   std::size_t bytes = std::max(sbr::workspace_query(n, sopt), nn * sizeof(float));
+  // Bulge stage: progress vector, rotation log and packed Q blocks. It runs
+  // after the reduction released its checkouts, on the same arena region.
+  if (opt.reduction != Reduction::OneStage)
+    bytes = std::max(bytes, bulge::wavefront_workspace_bytes<float>(n, opt.vectors));
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
   // the z*S product buffer.
   bytes += 3 * nn * sizeof(float);
-  // Wavefront bulge chasing's progress vector + Q support windows (two-stage
-  // reductions with bulge_threads != 1 may take the wavefront path).
-  if (opt.reduction != Reduction::OneStage && opt.bulge_threads != 1)
-    bytes += bulge::wavefront_workspace_bytes(n);
   bytes += 64 * Workspace::kAlignment;  // per-checkout alignment slop
   return bytes;
 }

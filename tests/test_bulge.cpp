@@ -3,17 +3,24 @@
 // and accumulated Q) for every shape, thread count, and blocking choice —
 // the parallel schedule only commutes rotation pairs with disjoint
 // footprints (DESIGN.md §14), so any arithmetic divergence is a scheduler
-// bug, not roundoff.
+// bug, not roundoff. The Q update that replays the chase's rotation logs is
+// pinned BITWISE-equal to a naive per-rotation replay for every lane count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/blas/simd_dispatch.hpp"
 #include "src/bulge/bulge_chasing.hpp"
+#include "src/bulge/bulge_kernels.hpp"
 #include "src/bulge/bulge_wavefront.hpp"
+#include "src/bulge/q_update.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
@@ -233,49 +240,6 @@ TEST(BulgeWavefront, NullPoolRunsInline) {
   expect_wavefront_bitwise<double>(64, 8, /*with_q=*/true, wopt, 5);
 }
 
-// A Q entering with a band row profile: the window-tracked update must equal
-// (as values) the dense full-row update, in both drivers, and the drivers
-// must agree bitwise with each other.
-TEST(BulgeWavefront, QRowProfileMatchesDenseUpdate) {
-  const index_t n = 96, bw = 4;
-  auto a = random_band<double>(n, bw, 21);
-
-  // Dense reference: serial chase, full-row Q updates on an identity.
-  auto dense = a;
-  Matrix<double> q_dense(n, n);
-  set_identity(q_dense.view());
-  auto qd = q_dense.view();
-  (void)bulge::bulge_chase<double>(dense.view(), bw, &qd);
-
-  // Serial with the identity's exact profile (band = 0).
-  auto hinted = a;
-  Matrix<double> q_hint(n, n);
-  set_identity(q_hint.view());
-  auto qh = q_hint.view();
-  (void)bulge::bulge_chase<double>(hinted.view(), bw, &qh, bulge::QRowProfile{0});
-
-  // Wavefront with the same profile.
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  auto wave = a;
-  Matrix<double> q_wave(n, n);
-  set_identity(q_wave.view());
-  auto qw = q_wave.view();
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &bulge_test_pool();
-  wopt.q_profile.band = 0;
-  (void)bulge::bulge_chase_wavefront<double>(ctx, wave.view(), bw, &qw, wopt);
-
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) {
-      // Skipped rows hold exact zeros, so the hinted update equals the dense
-      // one as VALUES (EXPECT_EQ; a skipped row cannot flip a zero's sign
-      // because it is never touched).
-      EXPECT_EQ(q_dense(i, j), q_hint(i, j)) << "serial hinted Q(" << i << "," << j << ")";
-      EXPECT_EQ(q_hint(i, j), q_wave(i, j)) << "wavefront Q(" << i << "," << j << ")";
-    }
-}
-
 // The double Context overload must exist and attribute its time to the
 // "bulge.chase" telemetry stage (regression: it used to be float-only, so
 // double reference pipelines lost stage attribution).
@@ -310,8 +274,131 @@ TEST(BulgeWavefront, RecordsWavefrontStages) {
     if (s.name == "bulge.chase.sweep") {
       EXPECT_EQ(s.calls, 7);
     }
+    EXPECT_NE(s.name, "bulge.q_update") << "no Q, yet the Q update was timed";
+  }
+
+  // With Q, the Q update's time is split out beside the sweeps.
+  Context ctx_q(eng);
+  auto b = random_band<double>(64, 8, 13);
+  Matrix<double> q(64, 64);
+  set_identity(q.view());
+  auto qv = q.view();
+  (void)bulge::bulge_chase_wavefront<double>(ctx_q, b.view(), 8, &qv, wopt);
+  long q_calls = 0;
+  for (const auto& s : ctx_q.telemetry().stages())
+    if (s.name == "bulge.q_update") q_calls += s.calls;
+  EXPECT_EQ(q_calls, 1);
+  EXPECT_GT(ctx_q.telemetry().stage_seconds("bulge.q_update"), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Q update: the applier against an independent naive replay.
+// ---------------------------------------------------------------------------
+
+/// Chase `a` (bandwidth bw) and keep each peeled diagonal's rotation log, in
+/// peel order (d = bw .. 2), exactly as chase_elim writes it.
+template <typename T>
+std::vector<std::vector<T>> chase_logs(Matrix<T> a, index_t bw) {
+  const index_t n = a.rows();
+  std::vector<std::vector<T>> logs;
+  for (index_t d = std::min(bw, n - 1); d >= 2; --d) {
+    std::vector<T> log;
+    for (index_t s = 0; s + d < n; ++s) {
+      const index_t len = bulge::detail::sweep_length(n, d, s);
+      std::vector<T> sweep(2 * static_cast<std::size_t>(len));
+      for (index_t k = 0; k < len; ++k)
+        bulge::detail::chase_elim(a.view(), n, d, s, k, sweep.data());
+      log.insert(log.end(), sweep.begin(), sweep.end());
+    }
+    logs.push_back(std::move(log));
+  }
+  return logs;
+}
+
+/// The reference the applier is pinned to: every logged rotation in order,
+/// one column-pair loop over all rows, skips skipped.
+template <typename T>
+void naive_replay(MatrixView<T> q, index_t bw, const std::vector<std::vector<T>>& logs) {
+  const index_t n = q.cols();
+  std::size_t li = 0;
+  for (index_t d = std::min(bw, n - 1); d >= 2; --d, ++li) {
+    std::size_t slot = 0;
+    for (index_t s = 0; s + d < n; ++s) {
+      for (index_t k = 0; k < bulge::detail::sweep_length(n, d, s); ++k, ++slot) {
+        const T c = logs[li][2 * slot];
+        const T sn = logs[li][2 * slot + 1];
+        if (c == blas::kRotSkip<T>) continue;
+        const index_t i = s + (k + 1) * d - 1;
+        for (index_t r = 0; r < q.rows(); ++r) {
+          const T t1 = q(r, i);
+          const T t2 = q(r, i + 1);
+          q(r, i) = c * t1 + sn * t2;
+          q(r, i + 1) = -sn * t1 + c * t2;
+        }
+      }
+    }
   }
 }
+
+template <typename T>
+void expect_applier_matches_naive(index_t n) {
+  const index_t bw = std::min<index_t>(n - 1, n > 200 ? 3 : 8);
+  // Band with exact zeros on its outer diagonals, so whole sweeps are skips.
+  auto a = random_band<T>(n, bw, 500 + static_cast<std::uint64_t>(n));
+  for (index_t j = 0; j + bw < n; ++j) {
+    a(j + bw, j) = a(j, j + bw) = T{};
+    if (bw > 2 && j % 3 == 0) a(j + bw - 1, j) = a(j, j + bw - 1) = T{};
+  }
+  const auto logs = chase_logs(a, bw);
+  // Q: identity with signed zeros, so a skip applied as the identity
+  // rotation (or any stray operation) changes bits. Rows are transformed
+  // independently, so Q keeps at most 257 of them: more rows add time, not
+  // coverage.
+  const index_t rows = std::min<index_t>(n, 257);
+  Matrix<T> q0(rows, n);
+  set_identity(q0.view());
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < rows; ++i)
+      if (i != j && (i + j) % 2 == 1) q0(i, j) = -T{};
+
+  Matrix<T> ref = q0;
+  naive_replay(ref.view(), bw, logs);
+
+  tc::Fp32Engine eng;
+  for (const bool scalar : {true, false}) {
+    std::optional<blas::simd::ScalarKernelScope> force;
+    if (scalar) force.emplace();
+    for (const int lanes : {1, 2, 3, 5, 8}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " lanes=" << lanes << " kernels="
+                                        << blas::simd::active_level_name());
+      Context ctx(eng);
+      Matrix<T> got = q0;
+      {
+        Workspace::Scope scope(ctx.workspace());
+        bulge::QUpdate<T> qu(got.view(), ctx.workspace(), nullptr, &bulge_test_pool(), lanes);
+        std::size_t li = 0;
+        for (index_t d = std::min(bw, n - 1); d >= 2; --d, ++li) {
+          std::copy(logs[li].begin(), logs[li].end(), qu.log());
+          qu.apply(d);
+        }
+        qu.finish();
+      }
+      EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                            sizeof(T) * static_cast<std::size_t>(rows * n)),
+                0);
+    }
+  }
+}
+
+class BulgeQUpdate : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(BulgeQUpdate, MatchesNaiveReplayBitwise) {
+  expect_applier_matches_naive<float>(GetParam());
+  expect_applier_matches_naive<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BulgeQUpdate,
+                         ::testing::Values<index_t>(2, 3, 7, 64, 129, 257, 1031));
 
 // The bulge_threads routing shim: 1 = serial, >= 2 = forced wavefront on the
 // shared gemm pool — all bitwise-identical.

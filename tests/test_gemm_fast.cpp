@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "src/blas/blas.hpp"
 #include "src/blas/gemm_packed.hpp"
 #include "src/blas/gemm_threading.hpp"
+#include "src/blas/rot_kernel_scalar.hpp"
 #include "src/blas/simd_dispatch.hpp"
 #include "src/common/aligned.hpp"
 #include "src/common/half.hpp"
@@ -618,6 +621,52 @@ TEST(SimdConvert, EcSplitBufferBitwiseEqualsScalarReference) {
     expect_bits_equal(ref_h, out_h, "ec_split head");
     expect_bits_equal(ref_t, out_t, "ec_split tail");
   }
+}
+
+// The bulge Q update's rotation-sweep kernel: whatever level dispatch
+// resolved must match the scalar reference bit for bit — row counts around
+// the vector widths, skipped rotations, signed zeros and subnormals included.
+template <typename T>
+void expect_rot_sweep_matches_scalar(simd::RotSweepFn<T> kernel) {
+  constexpr index_t kCols = 40;
+  Rng rng(4711);
+  for (const index_t h : {index_t{1}, index_t{5}, index_t{8}, index_t{15}, index_t{16},
+                          index_t{17}, index_t{64}, index_t{131}}) {
+    for (const index_t stride : {index_t{2}, index_t{3}}) {
+      SCOPED_TRACE(::testing::Message() << "h=" << h << " stride=" << stride);
+      Matrix<T> base(h, kCols);
+      fill_normal(rng, base.view());
+      for (index_t j = 0; j < kCols; ++j) {
+        base(0, j) = (j % 2 == 0) ? -T{} : T{};
+        if (h > 2) base(2, j) = std::numeric_limits<T>::denorm_min() * static_cast<T>(j + 1);
+      }
+      const index_t count = (kCols - 2) / stride;
+      std::vector<T> cs(2 * static_cast<std::size_t>(count));
+      for (index_t j = 0; j < count; ++j) {
+        const T f = static_cast<T>(rng.normal());
+        const T g = static_cast<T>(rng.normal());
+        const T r = std::hypot(f, g);
+        cs[2 * j] = (j % 4 == 1) ? blas::kRotSkip<T> : f / r;
+        cs[2 * j + 1] = g / r;
+      }
+      Matrix<T> ref = base;
+      Matrix<T> got = base;
+      blas::rot_sweep_scalar<T>(ref.data(), h, h, 1, stride, count, cs.data());
+      kernel(got.data(), h, h, 1, stride, count, cs.data());
+      ASSERT_EQ(std::memcmp(ref.data(), got.data(), sizeof(T) * static_cast<std::size_t>(h * kCols)),
+                0);
+    }
+  }
+}
+
+TEST(SimdRotSweep, BitwiseEqualsScalarReference) {
+  const simd::KernelTable& kt = simd::active_kernels();
+  if (kt.rot_sweep_f32 == nullptr || kt.rot_sweep_f64 == nullptr) {
+    EXPECT_EQ(kt.level, simd::Level::Scalar) << "a vector level must install both rotation kernels";
+    GTEST_SKIP() << "no vector rotation kernel at level " << kt.name;
+  }
+  expect_rot_sweep_matches_scalar<float>(kt.rot_sweep_f32);
+  expect_rot_sweep_matches_scalar<double>(kt.rot_sweep_f64);
 }
 
 // ---------------------------------------------------------------------------

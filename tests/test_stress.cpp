@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
+#include <mutex>
 #include <string>
 
 #include "src/blas/blas.hpp"
@@ -256,6 +259,41 @@ TEST(BroadcastStress, BackToBackBroadcastsRunEachIndexExactlyOnce) {
       ASSERT_EQ(ctx.hits[i].load(std::memory_order_relaxed), 1)
           << "round " << r << " index " << i << " of " << count;
   }
+}
+
+// Regression for worker attrition: a worker woken for a broadcast whose
+// indices the other participants claimed before it re-checked fell through
+// to the stop path and exited, so a long-lived pool (gemm_pool) lost its
+// workers one by one and every later fan-out ran on fewer threads — with the
+// same results, which is why only a liveness check catches it. After a burst
+// of back-to-back broadcasts, all size() workers must still run tasks that
+// wait for each other.
+TEST(BroadcastStress, WorkersSurviveBackToBackBroadcasts) {
+  // Declared before the pool: tasks still queued when the pool is destroyed
+  // run in its destructor and use these.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int arrived = 0;
+  int met = 0;
+  ThreadPool pool(kThreads);
+  for (int r = 0; r < 20000; ++r) {
+    ASSERT_TRUE(pool.try_broadcast(2, [](void*, long) {}, nullptr));
+  }
+  const int workers = pool.size();
+  for (int w = 0; w < workers; ++w) {
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++arrived;
+      cv.notify_all();
+      if (cv.wait_for(lock, std::chrono::seconds(5), [&] { return arrived == workers; })) ++met;
+      cv.notify_all();
+    });
+  }
+  // Bounded wait: with dead workers the queued tasks may never run.
+  std::unique_lock<std::mutex> lock(mutex);
+  cv.wait_for(lock, std::chrono::seconds(30), [&] { return met == workers; });
+  EXPECT_EQ(met, workers) << arrived << " of " << workers
+                          << " workers ran after the broadcasts";
 }
 
 // ---------------------------------------------------------------------------

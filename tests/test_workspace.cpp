@@ -166,16 +166,23 @@ TEST(Context, StageTimerAccumulatesByName) {
 // The allocation-regression guarantee of the refactor: a second evd::solve
 // of the same shape on the same Context must not grow the arena at all —
 // no new blocks, no spills — regardless of how accurate workspace_query is.
-TEST(Workspace, SteadyStateEvdSolveReusesArena) {
-  const index_t n = 96;
+/// A vectors solve through the two-stage DBR reduction at a size (n >= 256)
+/// where the bulge stage takes the wavefront and the pooled Q update with its
+/// packed row blocks.
+evd::EvdOptions wavefront_vectors_options() {
+  evd::EvdOptions opt;
+  opt.reduction = evd::Reduction::TwoStageDbr;
+  opt.bandwidth = 8;
+  opt.big_block = 64;
+  opt.vectors = true;
+  return opt;
+}
+
+void expect_steady_state_solve(index_t n, const evd::EvdOptions& opt) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n);
   auto a = test::random_symmetric<float>(n, 4242);
   tc::Fp32Engine eng;
   Context ctx(eng);
-  evd::EvdOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 32;
-  opt.vectors = true;
-  opt.solver = evd::TriSolver::Bisection;  // exercises the arena-heavy path
 
   auto r1 = *evd::solve(a.view(), ctx, opt);
   ASSERT_TRUE(r1.converged);
@@ -194,6 +201,16 @@ TEST(Workspace, SteadyStateEvdSolveReusesArena) {
   // Same eigenvalues both times (the arena is state-free across solves).
   for (std::size_t i = 0; i < r1.eigenvalues.size(); ++i)
     EXPECT_EQ(r1.eigenvalues[i], r2.eigenvalues[i]);
+}
+
+TEST(Workspace, SteadyStateEvdSolveReusesArena) {
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 32;
+  opt.vectors = true;
+  opt.solver = evd::TriSolver::Bisection;  // exercises the arena-heavy path
+  expect_steady_state_solve(96, opt);
+  expect_steady_state_solve(320, wavefront_vectors_options());
 }
 
 // solve_many's steady-state contract: a Context reused across a 16-problem
@@ -325,22 +342,81 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
     EXPECT_EQ(r_wave.d[i], r_serial.d[i]);
 }
 
+// With Q, the wavefront chase's rotation log and packed Q row blocks also
+// come from the warm arena and the Q update fans out through try_broadcast:
+// the with-Q chase allocates exactly what the chase without Q does (the
+// d/e result vectors) — zero heap allocations for the Q update — serial or
+// pooled.
+TEST(Workspace, SteadyStateWavefrontChaseWithQIsAllocationFree) {
+  const index_t n = 128, bw = 8;
+  Rng rng(2025);
+  Matrix<double> a(n, n);
+  fill_normal(rng, a.view());
+  make_symmetric(a.view());
+  sbr::truncate_to_band<double>(a.view(), bw);
+
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  ThreadPool pool(3);
+  bulge::WavefrontOptions wopt;
+  wopt.pool = &pool;
+
+  // Warm-up: sizes the arena, interns the stage names, spins up the pool.
+  Matrix<double> warm = a, q_warm(n, n);
+  auto qv_warm = q_warm.view();
+  (void)bulge::bulge_chase_wavefront<double>(ctx, warm.view(), bw, &qv_warm, wopt);
+  Matrix<double> warm_serial = a;
+  (void)bulge::bulge_chase(ctx, warm_serial.view(), bw, &qv_warm);
+  const std::size_t blocks = ctx.workspace().block_count();
+  const long spills = ctx.workspace().spill_count();
+
+  // Copies made BEFORE the measured window.
+  Matrix<double> w_plain = a, w_q = a, w_serial = a, q1(n, n), q2(n, n);
+  set_identity(q1.view());
+  set_identity(q2.view());
+  auto qv1 = q1.view();
+  auto qv2 = q2.view();
+  const std::uint64_t before = test::heap_allocs();
+  (void)bulge::bulge_chase_wavefront<double>(ctx, w_plain.view(), bw, nullptr, wopt);
+  const std::uint64_t plain = test::heap_allocs() - before;
+  const std::uint64_t mid = test::heap_allocs();
+  (void)bulge::bulge_chase_wavefront<double>(ctx, w_q.view(), bw, &qv1, wopt);
+  const std::uint64_t with_q = test::heap_allocs() - mid;
+  const std::uint64_t mid2 = test::heap_allocs();
+  (void)bulge::bulge_chase(ctx, w_serial.view(), bw, &qv2);
+  const std::uint64_t serial_q = test::heap_allocs() - mid2;
+
+  EXPECT_EQ(with_q, plain) << "the pooled Q update allocated " << (with_q - plain);
+  EXPECT_EQ(serial_q, plain) << "the in-place Q update allocated " << (serial_q - plain);
+  EXPECT_EQ(ctx.workspace().block_count(), blocks) << "steady-state chase grew the arena";
+  EXPECT_EQ(ctx.workspace().spill_count(), spills) << "steady-state chase spilled";
+  EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) EXPECT_EQ(q1(i, j), q2(i, j));
+}
+
 TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
   // The lwork-style estimate must be an upper bound on the actual peak, so a
   // caller who pre-reserves it sees zero spills from the very first solve.
-  const index_t n = 80;
-  auto a = test::random_symmetric<float>(n, 77);
-  tc::Fp32Engine eng;
-  Context ctx(eng);
+  const auto expect_covered = [](index_t n, const evd::EvdOptions& opt) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    auto a = test::random_symmetric<float>(n, 77);
+    tc::Fp32Engine eng;
+    Context ctx(eng);
+    ctx.workspace().reserve(evd::workspace_query(n, opt));
+    auto res = *evd::solve(a.view(), ctx, opt);
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(ctx.workspace().spill_count(), 0) << "workspace_query undersized the arena";
+    EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
+    return ctx.telemetry().stage_seconds("bulge.chase.wavefront");
+  };
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
   opt.vectors = true;
-  ctx.workspace().reserve(evd::workspace_query(n, opt));
-  auto res = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(res.converged);
-  EXPECT_EQ(ctx.workspace().spill_count(), 0) << "workspace_query undersized the arena";
-  EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
+  expect_covered(80, opt);
+  EXPECT_GT(expect_covered(320, wavefront_vectors_options()), 0.0)
+      << "n = 320 should take the wavefront bulge chase";
 }
 
 }  // namespace
