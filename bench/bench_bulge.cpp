@@ -1,13 +1,16 @@
 // Wavefront bulge-chasing thread scaling: serial reference vs the
 // wavefront engine at 1/2/4/8 lanes over an (n, bandwidth) grid matching
 // bench_dbr's shapes (plus the n = 2048 paper-direction point the roadmap
-// acceptance tracks).
+// acceptance tracks), then the auto route's serial-vs-wavefront crossover
+// at bw = 32 with and without Q, the table kAutoWavefrontMinN and
+// kAutoWavefrontMinNValuesOnly are set from.
 //
 // Rows are [measured] wall clock on this machine; each is mirrored into
 // BENCH_bulge.json for the perf-trajectory tooling. The wavefront is
 // bitwise-pinned to the serial rotation sequence (ctest label `bulge`), so
 // every speedup in this table is free of accuracy caveats — the outputs are
 // identical to the last bit.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -58,7 +61,7 @@ void sweep(index_t n, const std::vector<index_t>& bandwidths, bool with_q, Threa
   Context ctx(eng);
   for (index_t bw : bandwidths) {
     if (bw >= n) continue;
-    auto a = random_band(n, bw, 42 + static_cast<std::uint64_t>(n + bw));
+    const auto a = random_band(n, bw, 42 + static_cast<std::uint64_t>(n + bw));
     Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
 
     Row row;
@@ -66,37 +69,75 @@ void sweep(index_t n, const std::vector<index_t>& bandwidths, bool with_q, Threa
                (with_q ? "/q" : "");
 
     {
-      auto w = a;  // the chase destroys its input: copy outside the timer
       Matrix<float> qw = q;
       if (with_q) set_identity(qw.view());
       auto qv = qw.view();
       row.serial_s = bench::time_once_s(
-          [&] { (void)bulge::bulge_chase<float>(w.view(), bw, with_q ? &qv : nullptr); });
+          [&] { (void)bulge::bulge_chase<float>(a.view(), bw, with_q ? &qv : nullptr); });
     }
     for (int li = 0; li < 4; ++li) {
       bulge::WavefrontOptions wopt;
       wopt.pool = &pool;
       wopt.max_lanes = kLaneCounts[li];
       {
-        auto warm = a;  // warm the arena + pool outside the timed run
+        // Warm the arena + pool outside the timed run.
         Matrix<float> qw = q;
         if (with_q) set_identity(qw.view());
         auto qv = qw.view();
-        (void)bulge::bulge_chase_wavefront<float>(ctx, warm.view(), bw,
+        (void)bulge::bulge_chase_wavefront<float>(ctx, a.view(), bw,
                                                   with_q ? &qv : nullptr, wopt);
       }
-      auto w = a;
       Matrix<float> qw = q;
       if (with_q) set_identity(qw.view());
       auto qv = qw.view();
       row.wave_s[li] = bench::time_once_s([&] {
-        (void)bulge::bulge_chase_wavefront<float>(ctx, w.view(), bw, with_q ? &qv : nullptr,
+        (void)bulge::bulge_chase_wavefront<float>(ctx, a.view(), bw, with_q ? &qv : nullptr,
                                                   wopt);
       });
     }
     emit(row);
   }
   bench::stage_splits(ctx.telemetry());
+}
+
+// The auto route's crossover (kAutoWavefrontMinN): the serial chase against
+// the wavefront on gemm_pool() capped at four lanes (bulge_threads = 4),
+// both through bulge_chase_auto exactly as evd::solve calls it, at the SBR
+// bandwidth the solver drivers default to. Median of five runs each.
+void crossover(bool with_q) {
+  const index_t bw = 32;
+  const int lanes = 4;
+  bench::section(std::string("auto-route crossover, bw = 32, serial vs 4 lanes") +
+                 (with_q ? " (accumulating Q)" : ""));
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  for (index_t n : {128, 192, 256, 384, 512, 768, 1024}) {
+    auto a = random_band(n, bw, 7 + static_cast<std::uint64_t>(n));
+    double t[2] = {0.0, 0.0};
+    for (int route = 0; route < 2; ++route) {
+      const int threads = route == 0 ? 1 : lanes;
+      std::vector<double> runs;
+      for (int rep = 0; rep < 6; ++rep) {
+        Matrix<float> q(with_q ? n : 0, with_q ? n : 0);
+        if (with_q) set_identity(q.view());
+        auto qv = q.view();
+        const double s = bench::time_once_s([&] {
+          (void)bulge::bulge_chase_auto<float>(ctx, a.view(), bw, with_q ? &qv : nullptr,
+                                               threads);
+        });
+        if (rep > 0) runs.push_back(s);  // rep 0 warms the arena and the pool
+      }
+      std::sort(runs.begin(), runs.end());
+      t[route] = runs[runs.size() / 2];
+    }
+    Row row;
+    row.name = "crossover/n=" + std::to_string(n) + "/bw=32" + (with_q ? "/q" : "");
+    row.serial_s = t[0];
+    row.wave_s[2] = t[1];  // the 4-lane column
+    std::printf("  %-24s serial %9.2f ms   wave %9.2f ms   x%.2f\n", row.name.c_str(),
+                t[0] * 1e3, t[1] * 1e3, t[1] > 0.0 ? t[0] / t[1] : 0.0);
+    g_rows.push_back(row);
+  }
 }
 
 void write_json(const char* path) {
@@ -144,6 +185,8 @@ int main() {
   // Q accumulation is a dense O(n) row update per rotation and would swamp
   // the chase itself at this size on one core).
   sweep(2048, {2, 8}, /*with_q=*/false, pool);
+  crossover(/*with_q=*/false);
+  crossover(/*with_q=*/true);
 
   write_json(bench::out_path("BENCH_bulge.json").c_str());
   return 0;

@@ -18,7 +18,6 @@
 #include "src/lapack/jacobi_evd.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/sbr/band.hpp"
-#include "src/sbr/band_storage.hpp"
 #include "src/sbr/sbr.hpp"
 #include "src/tensorcore/ec_tcgemm.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
@@ -142,8 +141,7 @@ void BM_BulgeChase(benchmark::State& state) {
   make_symmetric(a.view());
   sbr::truncate_to_band<float>(a.view(), bw);
   for (auto _ : state) {
-    Matrix<float> work = a;
-    auto res = bulge::bulge_chase<float>(work.view(), bw, nullptr);
+    auto res = bulge::bulge_chase<float>(a.view(), bw, nullptr);
     benchmark::DoNotOptimize(res.d.data());
   }
 }
@@ -209,24 +207,6 @@ void BM_JacobiEvd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobiEvd)->Arg(64)->Arg(128);
-
-void BM_BulgeChaseCompact(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const index_t bw = 16;
-  Rng rng(14);
-  Matrix<float> a(n, n);
-  fill_normal(rng, a.view());
-  make_symmetric(a.view());
-  sbr::truncate_to_band<float>(a.view(), bw);
-  auto band0 = sbr::BandMatrix<float>::from_full(a.view(), bw);
-  for (auto _ : state) {
-    auto band = band0;
-    std::vector<float> d, e;
-    sbr::bulge_chase_band(band, d, e);
-    benchmark::DoNotOptimize(d.data());
-  }
-}
-BENCHMARK(BM_BulgeChaseCompact)->Arg(256)->Arg(512);
 
 void BM_Steqr(benchmark::State& state) {
   const index_t n = state.range(0);

@@ -5,12 +5,8 @@
 // routines take raw pointers with strides; level-2/3 take MatrixViews.
 // Everything is templated on the element type and explicitly instantiated
 // for float and double.
-//
-// Level-3 kernels report their flop counts to FlopCounter, which is how the
-// Table 2 reproduction measures "real number of arithmetic operations".
 #pragma once
 
-#include "src/common/flop_counter.hpp"
 #include "src/common/matrix.hpp"
 
 namespace tcevd::blas {

@@ -33,9 +33,6 @@
 // recompute — before it is applied to C. The ABFT tile path accumulates into
 // a private buffer holding exactly the value the direct path would have
 // added, so clean results are bitwise-identical with ABFT on or off.
-//
-// These entry points do NOT touch the FlopCounter — callers (blas::gemm,
-// tc_gemm, ec_tcgemm, tc_syr2k) account for their own logical flops.
 #pragma once
 
 #include <algorithm>
@@ -816,7 +813,6 @@ void gemm_packed_split_b_impl(ConstMatrixView<T> a, ConstMatrixView<T> b, Matrix
 /// C = alpha * op(A) * op(B) + beta * C through the packed pipeline, with
 /// fa/fb applied per element of A/B during packing. All four trans
 /// combinations run the same micro-kernel with zero intermediate matrices.
-/// Does not count flops — callers own their FlopCounter accounting.
 template <typename T, typename FA = IdentityTransform, typename FB = IdentityTransform>
 void gemm_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c, const FA& fa = FA{},

@@ -30,7 +30,6 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a, ConstMatrix
   const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
   const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
   TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  FlopCounter::instance().add(gemm_flops(m, n, ka));
   // All four trans combinations run the transpose-aware packed pipeline —
   // zero intermediate matrices, pooled over disjoint C tiles when profitable
   // (bitwise-identical to serial; see src/blas/gemm_packed.hpp).
@@ -45,7 +44,6 @@ void symm(Side side, Uplo uplo, T alpha, ConstMatrixView<T> a, ConstMatrixView<T
   const index_t na = (side == Side::Left) ? m : n;
   TCEVD_CHECK(a.rows() == na && a.cols() == na, "symm symmetric factor must be square");
   TCEVD_CHECK(b.rows() == m && b.cols() == n, "symm shape mismatch");
-  FlopCounter::instance().add(gemm_flops(m, n, na));
 
   // Element of the symmetric A from its stored triangle.
   auto ae = [&](index_t i, index_t j) {
@@ -80,7 +78,6 @@ void syrk(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, T beta, MatrixV
   const index_t k = (trans == Trans::No) ? a.cols() : a.rows();
   TCEVD_CHECK(c.cols() == n, "syrk requires square C");
   TCEVD_CHECK(((trans == Trans::No) ? a.rows() : a.cols()) == n, "syrk shape mismatch");
-  FlopCounter::instance().add(gemm_flops(n, n, k) / 2);
 
   auto elem = [&](index_t i, index_t l) { return trans == Trans::No ? a(i, l) : a(l, i); };
   if (uplo == Uplo::Lower) {
@@ -110,7 +107,6 @@ void syr2k(Uplo uplo, Trans trans, T alpha, ConstMatrixView<T> a, ConstMatrixVie
   const index_t n = c.rows();
   const index_t k = (trans == Trans::No) ? a.cols() : a.rows();
   TCEVD_CHECK(c.cols() == n, "syr2k requires square C");
-  FlopCounter::instance().add(gemm_flops(n, n, k));
 
   auto ae = [&](index_t i, index_t l) { return trans == Trans::No ? a(i, l) : a(l, i); };
   auto be = [&](index_t i, index_t l) { return trans == Trans::No ? b(i, l) : b(l, i); };
@@ -144,7 +140,6 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView
   const index_t n = b.cols();
   const index_t na = (side == Side::Left) ? m : n;
   TCEVD_CHECK(a.rows() == na && a.cols() == na, "trmm triangular factor shape mismatch");
-  FlopCounter::instance().add(gemm_flops(m, n, na) / 2);
   const bool unit = diag == Diag::Unit;
   const bool lower = op_is_lower(uplo, trans);
 
@@ -196,7 +191,6 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstMatrixView
   const index_t n = b.cols();
   const index_t na = (side == Side::Left) ? m : n;
   TCEVD_CHECK(a.rows() == na && a.cols() == na, "trsm triangular factor shape mismatch");
-  FlopCounter::instance().add(gemm_flops(m, n, na) / 2);
   const bool unit = diag == Diag::Unit;
   const bool lower = op_is_lower(uplo, trans);
 

@@ -7,7 +7,7 @@
 // enforce. Each element of the two rotated columns sees one multiply per
 // operand and one add, in this order:
 //   x' = fl(fl(c * x) + fl(s * y)),   y' = fl(fl(-s * x) + fl(c * y)),
-// the expression the chase uses for the band (apply_sym_rotation). An
+// the expression the chase uses for the band (detail::chase_elim). An
 // element's result depends only on its own row, so replaying a logged
 // rotation later gives the bits an immediate update would.
 #pragma once

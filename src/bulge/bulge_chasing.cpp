@@ -7,14 +7,13 @@
 #include "src/bulge/q_update.hpp"
 #include "src/common/context.hpp"
 #include "src/common/workspace.hpp"
-#include "src/sbr/band.hpp"
 
 namespace tcevd::bulge {
 
 namespace {
 
 template <typename T>
-BulgeResult<T> chase_serial(MatrixView<T> a, index_t bw, MatrixView<T>* q, Workspace& ws,
+BulgeResult<T> chase_serial(ConstMatrixView<T> a, index_t bw, MatrixView<T>* q, Workspace& ws,
                             Telemetry* telemetry) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase requires a square matrix");
@@ -22,6 +21,7 @@ BulgeResult<T> chase_serial(MatrixView<T> a, index_t bw, MatrixView<T>* q, Works
   if (q) TCEVD_CHECK(q->cols() == n, "bulge_chase Q must have n columns");
 
   Workspace::Scope scope(ws);
+  const detail::BandView<T> band = detail::load_band(a, bw, ws);
   std::optional<QUpdate<T>> qu;
   if (q != nullptr) qu.emplace(*q, ws, telemetry, nullptr, 1);
   T* log = qu ? qu->log() : nullptr;
@@ -36,7 +36,7 @@ BulgeResult<T> chase_serial(MatrixView<T> a, index_t bw, MatrixView<T>* q, Works
     for (index_t s = 0; s + d < n; ++s) {
       const index_t len = detail::sweep_length(n, d, s);
       for (index_t k = 0; k < len; ++k) {
-        detail::chase_elim(a, n, d, s, k, sweep_log);
+        detail::chase_elim(band, d, s, k, sweep_log);
       }
       if (sweep_log != nullptr) sweep_log += 2 * len;
     }
@@ -45,29 +45,30 @@ BulgeResult<T> chase_serial(MatrixView<T> a, index_t bw, MatrixView<T>* q, Works
   if (qu) qu->finish();
 
   BulgeResult<T> out;
-  sbr::extract_tridiag<T>(a, out.d, out.e);
+  detail::extract_tridiag(band, out.d, out.e);
   return out;
 }
 
 }  // namespace
 
 template <typename T>
-BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q) {
-  Workspace ws;  // holds the rotation log; stays empty without Q
+BulgeResult<T> bulge_chase(ConstMatrixView<T> a, index_t bw, MatrixView<T>* q) {
+  Workspace ws;  // holds the compact band and the rotation log
   return chase_serial(a, bw, q, ws, nullptr);
 }
 
-template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t, MatrixView<float>*);
-template BulgeResult<double> bulge_chase<double>(MatrixView<double>, index_t,
+template BulgeResult<float> bulge_chase<float>(ConstMatrixView<float>, index_t,
+                                               MatrixView<float>*);
+template BulgeResult<double> bulge_chase<double>(ConstMatrixView<double>, index_t,
                                                  MatrixView<double>*);
 
-BulgeResult<float> bulge_chase(Context& ctx, MatrixView<float> a, index_t bw,
+BulgeResult<float> bulge_chase(Context& ctx, ConstMatrixView<float> a, index_t bw,
                                MatrixView<float>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
   return chase_serial(a, bw, q, ctx.workspace(), &ctx.telemetry());
 }
 
-BulgeResult<double> bulge_chase(Context& ctx, MatrixView<double> a, index_t bw,
+BulgeResult<double> bulge_chase(Context& ctx, ConstMatrixView<double> a, index_t bw,
                                 MatrixView<double>* q) {
   StageTimer stage(ctx.telemetry(), "bulge.chase");
   return chase_serial(a, bw, q, ctx.workspace(), &ctx.telemetry());

@@ -12,9 +12,11 @@
 // This header is the SERIAL driver — the bitwise reference. The wavefront-
 // parallel driver (bulge_wavefront.hpp) runs the identical rotation sequence
 // per sweep on the shared ThreadPool and is pinned bitwise-equal to this one
-// for every thread count; see DESIGN.md §14. Both drivers log each diagonal's
-// rotations and apply them to Q through QUpdate (q_update.hpp) once the
-// diagonal is chased; the serial driver applies them in place, on one lane.
+// for every thread count; see DESIGN.md §14. Both drivers copy the band of
+// the caller's matrix once into compact storage (O(n b), bulge_kernels.hpp),
+// chase it there with the one rotation kernel, log each diagonal's rotations
+// and apply them to Q through QUpdate (q_update.hpp) once the diagonal is
+// chased; the serial driver applies them in place, on one lane.
 #pragma once
 
 #include <vector>
@@ -34,27 +36,27 @@ struct BulgeResult {
 };
 
 /// Reduce symmetric `a` (full storage, bandwidth `bw`) to tridiagonal form.
-/// If `q` is non-null it must have n columns and is multiplied on the right
-/// by every rotation (pass the SBR's Q to keep the full similarity
-/// transform). `a` is overwritten with the tridiagonal matrix. With Q, the
-/// rotation log is heap-allocated per call; the Context overloads take it
-/// from the workspace arena instead.
+/// Only the band |i - j| <= bw of the lower triangle is read, and `a` is not
+/// written. If `q` is non-null it must have n columns and is multiplied on
+/// the right by every rotation (pass the SBR's Q to keep the full similarity
+/// transform). The compact band and the rotation log are heap-allocated per
+/// call; the Context overloads take them from the workspace arena instead.
 template <typename T>
-BulgeResult<T> bulge_chase(MatrixView<T> a, index_t bw, MatrixView<T>* q = nullptr);
+BulgeResult<T> bulge_chase(ConstMatrixView<T> a, index_t bw, MatrixView<T>* q = nullptr);
 
-extern template BulgeResult<float> bulge_chase<float>(MatrixView<float>, index_t,
+extern template BulgeResult<float> bulge_chase<float>(ConstMatrixView<float>, index_t,
                                                       MatrixView<float>*);
-extern template BulgeResult<double> bulge_chase<double>(MatrixView<double>, index_t,
+extern template BulgeResult<double> bulge_chase<double>(ConstMatrixView<double>, index_t,
                                                         MatrixView<double>*);
 
 /// Context-aware entry points: same rotation-level algorithm, with the
-/// rotation log in the context's workspace arena. The elapsed time lands on
+/// compact band and the rotation log in the context's workspace arena. The elapsed time lands on
 /// the context's telemetry under stage "bulge.chase", and the Q update's
 /// share of it under "bulge.q_update". Both instantiations are covered so
 /// the double reference pipelines are stage-attributed too.
-BulgeResult<float> bulge_chase(Context& ctx, MatrixView<float> a, index_t bw,
+BulgeResult<float> bulge_chase(Context& ctx, ConstMatrixView<float> a, index_t bw,
                                MatrixView<float>* q = nullptr);
-BulgeResult<double> bulge_chase(Context& ctx, MatrixView<double> a, index_t bw,
+BulgeResult<double> bulge_chase(Context& ctx, ConstMatrixView<double> a, index_t bw,
                                 MatrixView<double>* q = nullptr);
 
 }  // namespace tcevd::bulge

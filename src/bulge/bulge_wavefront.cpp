@@ -13,7 +13,6 @@
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
-#include "src/sbr/band.hpp"
 
 namespace tcevd::bulge {
 
@@ -27,9 +26,8 @@ namespace {
 // block that is finished or actively advancing (deadlock-free by induction).
 template <typename T>
 struct ChaseShared {
-  MatrixView<T> a;
+  detail::BandView<T> band;
   T* log = nullptr;  // the diagonal's rotation log; null without Q
-  index_t n = 0;
   index_t d = 0;
   index_t nsweeps = 0;
   index_t block = 1;   // sweeps per block (<= kMaxSweepBlock)
@@ -53,12 +51,13 @@ void run_block(ChaseShared<T>& st, index_t b) {
   index_t done[kMaxSweepBlock];
   T* sweep_log[kMaxSweepBlock];
   for (index_t j = 0; j < nb; ++j) {
-    len[j] = detail::sweep_length(st.n, st.d, s0 + j);
+    len[j] = detail::sweep_length(st.band.n, st.d, s0 + j);
     done[j] = 0;
     sweep_log[j] =
-        st.log != nullptr ? st.log + 2 * detail::sweep_offset(st.n, st.d, s0 + j) : nullptr;
+        st.log != nullptr ? st.log + 2 * detail::sweep_offset(st.band.n, st.d, s0 + j)
+                          : nullptr;
   }
-  const index_t prev_len = (s0 > 0) ? detail::sweep_length(st.n, st.d, s0 - 1) : 0;
+  const index_t prev_len = (s0 > 0) ? detail::sweep_length(st.band.n, st.d, s0 - 1) : 0;
   for (index_t h = st.chunk;; h += st.chunk) {
     bool all_done = true;
     for (index_t j = 0; j < nb; ++j) {
@@ -75,7 +74,7 @@ void run_block(ChaseShared<T>& st, index_t b) {
           }
         }
         for (index_t k = done[j]; k < target; ++k) {
-          detail::chase_elim(st.a, st.n, st.d, s0 + j, k, sweep_log[j]);
+          detail::chase_elim(st.band, st.d, s0 + j, k, sweep_log[j]);
         }
         done[j] = target;
         // Release: the next block's acquire spin on this sweep must see every
@@ -105,17 +104,17 @@ void lane_trampoline(void* ctx, long /*lane_index*/) {
 }  // namespace
 
 template <typename T>
-std::size_t wavefront_workspace_bytes(index_t n, bool with_q) {
+std::size_t wavefront_workspace_bytes(index_t n, index_t bw, bool with_q) {
   const std::size_t count = static_cast<std::size_t>(n > 0 ? n : 1);
-  return count * sizeof(std::atomic<index_t>) + Workspace::kAlignment +
-         (with_q ? QUpdate<T>::workspace_bytes(n) : 0);
+  return detail::band_bytes<T>(n, bw) + count * sizeof(std::atomic<index_t>) +
+         Workspace::kAlignment + (with_q ? QUpdate<T>::workspace_bytes(n) : 0);
 }
 
-template std::size_t wavefront_workspace_bytes<float>(index_t, bool);
-template std::size_t wavefront_workspace_bytes<double>(index_t, bool);
+template std::size_t wavefront_workspace_bytes<float>(index_t, index_t, bool);
+template std::size_t wavefront_workspace_bytes<double>(index_t, index_t, bool);
 
 template <typename T>
-BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
+BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t bw,
                                      MatrixView<T>* q, const WavefrontOptions& opt) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase_wavefront requires a square matrix");
@@ -124,6 +123,7 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
 
   Timer total;
   Workspace::Scope scope(ctx.workspace());
+  const detail::BandView<T> band = detail::load_band(a, bw, ctx.workspace());
 
   static_assert(std::is_trivially_destructible_v<std::atomic<index_t>>,
                 "progress vector is rewound by Scope, never destroyed");
@@ -153,9 +153,8 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
     for (index_t s = 0; s < nsweeps; ++s) progress[s].store(0, std::memory_order_relaxed);
 
     ChaseShared<T> st;
-    st.a = a;
+    st.band = band;
     st.log = qu ? qu->log() : nullptr;
-    st.n = n;
     st.d = d;
     st.nsweeps = nsweeps;
     st.block = block;
@@ -182,14 +181,14 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
 
   ctx.telemetry().record_stage("bulge.chase.wavefront", total.seconds());
   BulgeResult<T> out;
-  sbr::extract_tridiag<T>(a, out.d, out.e);
+  detail::extract_tridiag(band, out.d, out.e);
   return out;
 }
 
-template BulgeResult<float> bulge_chase_wavefront<float>(Context&, MatrixView<float>, index_t,
-                                                         MatrixView<float>*,
+template BulgeResult<float> bulge_chase_wavefront<float>(Context&, ConstMatrixView<float>,
+                                                         index_t, MatrixView<float>*,
                                                          const WavefrontOptions&);
-template BulgeResult<double> bulge_chase_wavefront<double>(Context&, MatrixView<double>,
+template BulgeResult<double> bulge_chase_wavefront<double>(Context&, ConstMatrixView<double>,
                                                            index_t, MatrixView<double>*,
                                                            const WavefrontOptions&);
 
@@ -213,7 +212,8 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                        " requested but the wavefront cannot engage: " + why +
                        "; running the serial chase (bitwise-identical output)");
   }
-  if (eligible && (forced || n >= kAutoWavefrontMinN)) {
+  const index_t min_n = q != nullptr ? kAutoWavefrontMinN : kAutoWavefrontMinNValuesOnly;
+  if (eligible && (forced || n >= min_n)) {
     WavefrontOptions wopt;
     wopt.pool = &gemm_pool();
     if (forced) wopt.max_lanes = bulge_threads;

@@ -47,7 +47,7 @@ struct WavefrontOptions {
   /// Band rows a sweep advances per wavestep (the tile height); the chunk of
   /// eliminations published at once is max(1, tile_rows / d). Output does
   /// not depend on it. The defaults (4, 32) chased an n = 1024, b = 32 fp32
-  /// band in about 0.13 s on four lanes, against about 0.19 s for (8, 192).
+  /// band without Q in 63-76 ms on four lanes, against 77-87 ms for (8, 192).
   index_t tile_rows = 32;
   /// Cap on broadcast lanes, for the chase and for the Q update's row
   /// blocks; 0 means pool size + 1 (the caller participates).
@@ -55,48 +55,59 @@ struct WavefrontOptions {
 };
 
 /// Upper bound on the context-workspace bytes bulge_chase_wavefront<T>
-/// checks out for an n x n problem: the progress vector and, with Q, the
-/// rotation log and the packed Q row blocks. It also bounds the Context
-/// overload of the serial bulge_chase. Add it to lwork-style reservations
-/// alongside evd/sbr workspace_query.
+/// checks out for an n x n problem of bandwidth bw: the compact band, the
+/// progress vector and, with Q, the rotation log and the packed Q row
+/// blocks. It also bounds the Context overload of the serial bulge_chase.
+/// Add it to lwork-style reservations alongside evd/sbr workspace_query.
 template <typename T>
-std::size_t wavefront_workspace_bytes(index_t n, bool with_q);
+std::size_t wavefront_workspace_bytes(index_t n, index_t bw, bool with_q);
 
-extern template std::size_t wavefront_workspace_bytes<float>(index_t, bool);
-extern template std::size_t wavefront_workspace_bytes<double>(index_t, bool);
+extern template std::size_t wavefront_workspace_bytes<float>(index_t, index_t, bool);
+extern template std::size_t wavefront_workspace_bytes<double>(index_t, index_t, bool);
 
 /// Hard cap on WavefrontOptions::sweep_block (per-lane stack state is sized
 /// by it).
 inline constexpr index_t kMaxSweepBlock = 32;
 
-/// Reduce symmetric band `a` (full storage, bandwidth `bw`) to tridiagonal,
-/// bitwise-equal to bulge_chase(a, bw, q) for every pool / lane count /
-/// blocking choice. Elapsed time lands on the context telemetry under
-/// "bulge.chase.wavefront" (total), "bulge.chase.sweep" (summed per-diagonal
-/// fan-out windows) and, with Q, "bulge.q_update" (the Q update). Progress
-/// state, rotation log and packed Q blocks live in the context workspace
-/// arena — steady-state calls allocate nothing.
+/// Reduce symmetric band `a` (full storage, bandwidth `bw`; read, not
+/// written) to tridiagonal, bitwise-equal to bulge_chase(a, bw, q) for every
+/// pool / lane count / blocking choice. Elapsed time lands on the context
+/// telemetry under "bulge.chase.wavefront" (total), "bulge.chase.sweep"
+/// (summed per-diagonal fan-out windows) and, with Q, "bulge.q_update" (the
+/// Q update). Compact band, progress state, rotation log and packed Q blocks
+/// live in the context workspace arena — steady-state calls allocate nothing.
 template <typename T>
-BulgeResult<T> bulge_chase_wavefront(Context& ctx, MatrixView<T> a, index_t bw,
+BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t bw,
                                      MatrixView<T>* q = nullptr,
                                      const WavefrontOptions& opt = {});
 
 extern template BulgeResult<float> bulge_chase_wavefront<float>(
-    Context&, MatrixView<float>, index_t, MatrixView<float>*, const WavefrontOptions&);
+    Context&, ConstMatrixView<float>, index_t, MatrixView<float>*, const WavefrontOptions&);
 extern template BulgeResult<double> bulge_chase_wavefront<double>(
-    Context&, MatrixView<double>, index_t, MatrixView<double>*, const WavefrontOptions&);
+    Context&, ConstMatrixView<double>, index_t, MatrixView<double>*, const WavefrontOptions&);
 
-/// Smallest n the auto route (bulge_threads == 0) considers worth fanning
-/// out: below this the per-diagonal broadcast join overhead beats the win.
-inline constexpr index_t kAutoWavefrontMinN = 256;
+/// Smallest n the auto route (bulge_threads == 0) fans out when the chase
+/// accumulates Q: below it the per-diagonal broadcast join overhead beats
+/// the parallel Q update. Measured with bench_bulge at bw = 32 on four lanes
+/// (EXPERIMENTS.md): the serial chase wins at n = 256, the wavefront from
+/// n = 384.
+inline constexpr index_t kAutoWavefrontMinN = 384;
+
+/// The same threshold for a values-only chase (q == nullptr). On compact
+/// storage one elimination is a few hundred flops, so the lanes' progress
+/// handshakes cost as much as the work: at bw = 32 on four lanes the serial
+/// chase wins through n = 1024 and breaks even near n = 2048.
+inline constexpr index_t kAutoWavefrontMinNValuesOnly = 2048;
 
 /// Routing shim for the solver drivers (EvdOptions::bulge_threads): 1 forces
 /// the serial chase, >= 2 forces the wavefront on gemm_pool() capped at that
 /// many lanes, anything else picks the wavefront automatically when the
-/// problem is big enough (kAutoWavefrontMinN), the band is chaseable
-/// (bw >= 2), and the caller is not itself a pool worker (solve_many workers
-/// are the parallelism — fanning out under them would only add spin
-/// overhead). Output is bitwise-identical across every setting.
+/// problem is big enough (kAutoWavefrontMinN with Q,
+/// kAutoWavefrontMinNValuesOnly without), the band is chaseable (bw >= 2),
+/// and the caller is not itself a pool worker (solve_many workers are the
+/// parallelism — fanning out under them would only add spin overhead).
+/// Output is bitwise-identical across every setting. Like both drivers it
+/// reads `a` and leaves it unchanged.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

@@ -231,15 +231,4 @@ class EngineOverrideScope {
   tc::GemmEngine* prev_;
 };
 
-/// Per-thread scratch context for the deprecated `GemmEngine&` compatibility
-/// overloads. The old shims built a throwaway Context per call — cold arena,
-/// telemetry dropped on the floor — so a legacy caller in a loop re-allocated
-/// its entire workspace every solve. This returns one thread_local Context
-/// per (thread, engine) instead: the arena reaches its steady state after the
-/// first call and telemetry/recovery accumulate somewhere inspectable.
-/// Entries are keyed by engine address and capped; the cache belongs to the
-/// calling thread, so the one-context-per-thread contract holds by
-/// construction. New code should own a real Context.
-Context& compat_context(tc::GemmEngine& engine);
-
 }  // namespace tcevd

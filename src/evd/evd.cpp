@@ -19,7 +19,6 @@
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band.hpp"
-#include "src/sbr/band_storage.hpp"
 
 namespace tcevd::evd {
 
@@ -314,22 +313,11 @@ void SolveJob::step_bulge() {
   sbr::SbrResult& sres = *sres_;
 
   Timer t;
-  if (opt_.compact_second_stage && !opt_.vectors) {
-    auto band =
-        sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(sres.band.view()), bw);
-    sbr::bulge_chase_band(band, d_, e_);
-  } else {
-    if (opt_.compact_second_stage && opt_.vectors)
-      recovery::note("evd.second_stage",
-                     "compact_second_stage ignored: eigenvectors requested, bulge "
-                     "rotations must stream into Q; proceeding on full storage");
-    MatrixView<float> qv = sres.q.view();
-    MatrixView<float>* qp = opt_.vectors ? &qv : nullptr;
-    auto tri =
-        bulge::bulge_chase_auto<float>(ctx_, sres.band.view(), bw, qp, opt_.bulge_threads);
-    d_ = std::move(tri.d);
-    e_ = std::move(tri.e);
-  }
+  MatrixView<float> qv = sres.q.view();
+  MatrixView<float>* qp = opt_.vectors ? &qv : nullptr;
+  auto tri = bulge::bulge_chase_auto<float>(ctx_, sres.band.view(), bw, qp, opt_.bulge_threads);
+  d_ = std::move(tri.d);
+  e_ = std::move(tri.e);
   result_.timings.bulge_s = t.seconds();
   ctx_.telemetry().record_stage("evd.bulge", result_.timings.bulge_s);
   if (opt_.vectors) q_ = std::move(sres.q);
@@ -587,13 +575,6 @@ StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
   return run_to_completion(job);
 }
 
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-StatusOr<EvdResult> solve(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                          const EvdOptions& opt) {
-  return solve(a, compat_context(engine), opt);
-}
-
 std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   if (n <= 0) return 0;
   sbr::SbrOptions sopt;
@@ -605,10 +586,12 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   // Reduction stage: SBR arena peak, or the one-stage n x n scratch.
   std::size_t bytes = std::max(sbr::workspace_query(n, sopt), nn * sizeof(float));
-  // Bulge stage: progress vector, rotation log and packed Q blocks. It runs
-  // after the reduction released its checkouts, on the same arena region.
+  // Bulge stage: compact band, progress vector, rotation log and packed Q
+  // blocks. It runs after the reduction released its checkouts, on the same
+  // arena region.
   if (opt.reduction != Reduction::OneStage)
-    bytes = std::max(bytes, bulge::wavefront_workspace_bytes<float>(n, opt.vectors));
+    bytes = std::max(bytes,
+                     bulge::wavefront_workspace_bytes<float>(n, sopt.bandwidth, opt.vectors));
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
   // the z*S product buffer.
   bytes += 3 * nn * sizeof(float);

@@ -56,20 +56,13 @@ struct EvdOptions {
   index_t big_block = 128;
   sbr::PanelKind panel = sbr::PanelKind::Tsqr;
   bool vectors = false;                         ///< compute eigenvectors
-  /// Run bulge chasing on compact O(n*b) band storage instead of the full
-  /// matrix. Eigenvalues-only pipelines only: when `vectors` is also set the
-  /// flag is IGNORED — the bulge rotations must stream into Q, which the
-  /// compact kernel does not support — and the solve proceeds on full
-  /// storage, noting the ignored request in EvdResult::recovery (site
-  /// "evd.second_stage") so callers relying on the compact path's memory
-  /// profile find out.
-  bool compact_second_stage = false;
-  /// Threading of the second stage (full-storage bulge chasing only; the
-  /// compact eigenvalues-only path is already O(n*b) and stays serial).
-  /// 0 = auto: the wavefront engine (src/bulge/bulge_wavefront.hpp) on the
-  /// shared gemm_pool() when the problem is big enough (n >= 256, band >= 2)
-  /// and the caller is not itself a pool worker (solve_many workers keep the
-  /// serial chase — they ARE the parallelism). 1 = always the serial chase.
+  /// Threading of the second stage, which chases the band on compact
+  /// O(n*b) storage. 0 = auto: the wavefront engine
+  /// (src/bulge/bulge_wavefront.hpp) on the shared gemm_pool() when the
+  /// problem is big enough (n >= 384 with vectors, n >= 2048 without; band
+  /// >= 2) and the caller is not itself a pool worker (solve_many workers
+  /// keep the serial chase — they ARE the parallelism). 1 = always the
+  /// serial chase.
   /// k >= 2 = wavefront with at most k lanes. Every setting produces
   /// bitwise-identical output — the wavefront schedule is pinned to the
   /// serial rotation sequence (DESIGN.md §14) — so this is a performance
@@ -171,12 +164,6 @@ StatusOr<EvdResult> solve(ConstMatrixView<float> a, Context& ctx, const EvdOptio
 /// the verification estimators need the full eigensystem.
 StatusOr<EvdResult> solve_selected(ConstMatrixView<float> a, Context& ctx,
                                    const EvdOptions& opt, index_t il, index_t iu);
-
-/// Deprecated: routes through the per-thread scratch Context of
-/// `compat_context(engine)` (warm arena after the first call). New code
-/// should construct a Context; see DESIGN.md §8.
-StatusOr<EvdResult> solve(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                          const EvdOptions& opt);
 
 /// Peak workspace-arena bytes one solve of size n needs (LAPACK-lwork
 /// style, conservative — covers the SBR stage, the one-stage scratch, the

@@ -31,23 +31,10 @@ double symmetry_violation(ConstMatrixView<T> a) {
   return worst;
 }
 
-template <typename T>
-void extract_tridiag(ConstMatrixView<T> a, std::vector<T>& d, std::vector<T>& e) {
-  const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "extract_tridiag requires a square matrix");
-  d.assign(static_cast<std::size_t>(n), T{});
-  e.assign(static_cast<std::size_t>(std::max<index_t>(n - 1, 0)), T{});
-  for (index_t i = 0; i < n; ++i) {
-    d[static_cast<std::size_t>(i)] = a(i, i);
-    if (i + 1 < n) e[static_cast<std::size_t>(i)] = a(i + 1, i);
-  }
-}
-
 #define TCEVD_BAND_INST(T)                                        \
   template double band_violation<T>(ConstMatrixView<T>, index_t); \
   template void truncate_to_band<T>(MatrixView<T>, index_t);      \
-  template double symmetry_violation<T>(ConstMatrixView<T>);      \
-  template void extract_tridiag<T>(ConstMatrixView<T>, std::vector<T>&, std::vector<T>&);
+  template double symmetry_violation<T>(ConstMatrixView<T>);
 
 TCEVD_BAND_INST(float)
 TCEVD_BAND_INST(double)

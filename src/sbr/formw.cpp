@@ -104,24 +104,4 @@ void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, Context& ctx,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated compatibility overloads: each routes through the per-thread
-// scratch context of compat_context(engine), so repeat callers hit a warm
-// arena instead of re-allocating per call.
-// ---------------------------------------------------------------------------
-
-void form_wy_product(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine,
-                     Matrix<float>& w_out, Matrix<float>& y_out) {
-  form_wy_product(blocks, n, compat_context(engine), w_out, y_out);
-}
-
-Matrix<float> form_q(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine) {
-  return form_q(blocks, n, compat_context(engine));
-}
-
-void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, tc::GemmEngine& engine,
-                          MatrixView<float> x) {
-  apply_wy_blocks_left(blocks, compat_context(engine), x);
-}
-
 }  // namespace tcevd::sbr

@@ -108,9 +108,7 @@ Status panel_factor_wy(Context& ctx, PanelKind kind, MatrixView<float> panel,
   return panel_factor_impl(ctx.workspace(), kind, panel, w, y);
 }
 
-// Deprecated compatibility overload: per-thread scratch arena, warm after the
-// first call (the engine-keyed compat_context does not apply — this path
-// never touches a GemmEngine).
+// Per-thread scratch arena, warm after the first call.
 Status panel_factor_wy(PanelKind kind, MatrixView<float> panel, MatrixView<float> w,
                        MatrixView<float> y) {
   thread_local Workspace arena;

@@ -186,26 +186,9 @@ Matrix<float> form_q(const std::vector<WyBlock>& blocks, index_t n, Context& ctx
 void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, Context& ctx,
                           MatrixView<float> x);
 
-// ---------------------------------------------------------------------------
-// Deprecated compatibility overloads: each routes through the per-thread
-// scratch Context of `compat_context(engine)` (warm arena after the first
-// call, telemetry accumulated on the scratch context), so legacy callers
-// keep working — and stop re-allocating per call — while they migrate. New
-// code should construct a Context. See DESIGN.md §8.
-// ---------------------------------------------------------------------------
-
-StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt);
-StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt);
-StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                            const SbrOptions& opt);
+/// panel_factor_wy on a per-thread scratch arena (warm after the first
+/// call), for panel-level callers that hold no Context.
 Status panel_factor_wy(PanelKind kind, MatrixView<float> panel, MatrixView<float> w,
                        MatrixView<float> y);
-void form_wy_product(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine,
-                     Matrix<float>& w_out, Matrix<float>& y_out);
-Matrix<float> form_q(const std::vector<WyBlock>& blocks, index_t n, tc::GemmEngine& engine);
-void apply_wy_blocks_left(const std::vector<WyBlock>& blocks, tc::GemmEngine& engine,
-                          MatrixView<float> x);
 
 }  // namespace tcevd::sbr

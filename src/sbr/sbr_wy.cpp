@@ -492,16 +492,4 @@ std::size_t lookahead_workspace_query(index_t n, const SbrOptions& opt) {
   return static_cast<std::size_t>(f) * sizeof(float) + kAllocSlop;
 }
 
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt) {
-  return sbr_wy(a, compat_context(engine), opt);
-}
-
-StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                            const SbrOptions& opt) {
-  return sbr_dbr(a, compat_context(engine), opt);
-}
-
 }  // namespace tcevd::sbr

@@ -102,11 +102,4 @@ StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
   return result;
 }
 
-// Deprecated compatibility overload: per-thread scratch context (see
-// compat_context).
-StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                           const SbrOptions& opt) {
-  return sbr_zy(a, compat_context(engine), opt);
-}
-
 }  // namespace tcevd::sbr

@@ -40,11 +40,6 @@ struct SvdOptions {
 /// from its workspace arena.
 SvdResult svd_via_evd(ConstMatrixView<float> a, Context& ctx, const SvdOptions& opt = {});
 
-/// Deprecated: wraps a temporary Context (cold workspace, no telemetry)
-/// around the bare engine.
-SvdResult svd_via_evd(ConstMatrixView<float> a, tc::GemmEngine& engine,
-                      const SvdOptions& opt = {});
-
 /// Reference one-sided Jacobi SVD in double precision. Returns descending
 /// singular values; u/v always computed. Intended for n up to a few hundred.
 struct JacobiSvdResult {

@@ -8,7 +8,6 @@
 #include "src/blas/gemm_packed.hpp"
 #include "src/common/aligned.hpp"
 #include "src/common/fault.hpp"
-#include "src/common/flop_counter.hpp"
 #include "src/common/scratch.hpp"
 #include "src/tensorcore/tc_convert.hpp"
 
@@ -94,7 +93,6 @@ Status ec_tcgemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatri
     return precision_loss_error("ec_tcgemm: operand B exceeds the fp16 range (head "
                                 "saturated, first at B(" + std::to_string(si) + ", " +
                                 std::to_string(sj) + "))");
-  FlopCounter::instance().add(3 * gemm_flops(m, n, ka));
 
   EcScratch& scratch = ec_scratch();
   const std::size_t need = static_cast<std::size_t>(m) * static_cast<std::size_t>(n);

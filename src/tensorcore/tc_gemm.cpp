@@ -1,7 +1,6 @@
 #include "src/tensorcore/tc_gemm.hpp"
 
 #include "src/blas/gemm_packed.hpp"
-#include "src/common/flop_counter.hpp"
 #include "src/tensorcore/tc_convert.hpp"
 
 namespace tcevd::tc {
@@ -11,12 +10,9 @@ void tc_gemm(blas::Trans transa, blas::Trans transb, float alpha, ConstMatrixVie
   // Fused path: rounding happens inside pack_a_block/pack_b_block while the
   // packed pipeline reads through op(A)/op(B); fp32 accumulation in the
   // micro-kernel. (The tile-level emulator in mma_tile.cpp is kept for
-  // semantics tests; this path is the fast one.) gemm_packed does not count
-  // flops, so the logical TC GEMM is accounted here.
-  const index_t ka = (transa == blas::Trans::No) ? a.cols() : a.rows();
+  // semantics tests; this path is the fast one.)
   blas::gemm_packed(transa, transb, alpha, a, b, beta, c, RoundTransform{prec},
                     RoundTransform{prec});
-  FlopCounter::instance().add(gemm_flops(c.rows(), c.cols(), ka));
 }
 
 void round_matrix(MatrixView<float> a, TcPrecision prec) {

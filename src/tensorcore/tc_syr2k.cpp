@@ -5,7 +5,6 @@
 
 #include "src/blas/gemm_packed.hpp"
 #include "src/common/aligned.hpp"
-#include "src/common/flop_counter.hpp"
 #include "src/common/scratch.hpp"
 #include "src/tensorcore/tc_convert.hpp"  // RoundTransform (fragment-load rounding)
 
@@ -35,7 +34,6 @@ void tc_syr2k(blas::Uplo uplo, float alpha, ConstMatrixView<float> a, ConstMatri
   const index_t k = a.cols();
   TCEVD_CHECK(c.cols() == n, "tc_syr2k requires square C");
   TCEVD_CHECK(a.rows() == n && b.rows() == n && b.cols() == k, "tc_syr2k shape mismatch");
-  FlopCounter::instance().add(gemm_flops(n, n, k));
   if (n == 0) return;
 
   // Panelled packed path: for each block J of kPanelCols columns, compute

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "src/blas/blas.hpp"
-#include "src/common/flop_counter.hpp"
 #include "test_util.hpp"
 
 namespace tcevd {
@@ -227,15 +226,6 @@ INSTANTIATE_TEST_SUITE_P(Variants, SymmTest,
                                            SymmCase{Side::Left, Uplo::Upper},
                                            SymmCase{Side::Right, Uplo::Lower},
                                            SymmCase{Side::Right, Uplo::Upper}));
-
-TEST(BlasL3, FlopCounterTracksGemm) {
-  auto a = test::random_matrix(8, 4, 50);
-  auto b = test::random_matrix(4, 6, 51);
-  Matrix<double> c(8, 6);
-  FlopScope scope;
-  blas::gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c.view());
-  EXPECT_EQ(scope.flops(), 2ull * 8 * 6 * 4);
-}
 
 TEST(BlasL3, FloatInstantiationWorks) {
   auto a = test::random_matrix_f(12, 12, 60);

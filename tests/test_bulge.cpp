@@ -5,9 +5,12 @@
 // footprints (DESIGN.md §14), so any arithmetic divergence is a scheduler
 // bug, not roundoff. The Q update that replays the chase's rotation logs is
 // pinned BITWISE-equal to a naive per-rotation replay for every lane count.
+// The chase on compact band storage is checked against a textbook
+// full-storage Givens chase kept here as an oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -25,11 +28,13 @@
 #include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/common/workspace.hpp"
 #include "src/evd/batch.hpp"
 #include "src/evd/evd.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/sbr/band.hpp"
+#include "src/sbr/sbr.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "test_util.hpp"
 
@@ -46,16 +51,44 @@ Matrix<T> random_band(index_t n, index_t bw, std::uint64_t seed) {
   return a;
 }
 
+/// T = tridiag(d, e) as a full matrix.
+template <typename T>
+Matrix<T> tridiag_matrix(const bulge::BulgeResult<T>& tri) {
+  const index_t n = static_cast<index_t>(tri.d.size());
+  Matrix<T> t(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    t(i, i) = tri.d[static_cast<std::size_t>(i)];
+    if (i + 1 < n) {
+      t(i + 1, i) = tri.e[static_cast<std::size_t>(i)];
+      t(i, i + 1) = tri.e[static_cast<std::size_t>(i)];
+    }
+  }
+  return t;
+}
+
+/// ||Q^T A Q - tridiag(d, e)||_F / ||A||_F: the chase is a similarity.
+double similarity_residual(ConstMatrixView<double> a, ConstMatrixView<double> q,
+                           const bulge::BulgeResult<double>& tri) {
+  const index_t n = a.rows();
+  Matrix<double> t1(n, n), t2(n, n);
+  blas::gemm(blas::Trans::Yes, blas::Trans::No, 1.0, q, a, 0.0, t1.view());
+  blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, t1.view(), q, 0.0, t2.view());
+  const Matrix<double> t = tridiag_matrix(tri);
+  return frobenius_diff<double>(t2.view(), t.view()) / frobenius_norm<double>(a);
+}
+
 class BulgeTest : public ::testing::TestWithParam<std::tuple<index_t, index_t>> {};
 
 TEST_P(BulgeTest, ReducesToTridiagonalPreservingSpectrum) {
   const auto [n, bw] = GetParam();
   auto a = random_band<double>(n, bw, 100 + n + bw);
-  auto work = a;
-  auto res = bulge::bulge_chase<double>(work.view(), bw, nullptr);
+  Matrix<double> q(n, n);
+  set_identity(q.view());
+  auto qv = q.view();
+  auto res = bulge::bulge_chase<double>(a.view(), bw, &qv);
 
-  // Work matrix is now exactly tridiagonal.
-  EXPECT_EQ(sbr::band_violation<double>(work.view(), 1), 0.0);
+  // Q^T A Q is exactly the returned tridiagonal, up to roundoff.
+  EXPECT_LT(similarity_residual(a.view(), q.view(), res), 1e-12);
 
   // Spectrum preserved: compare against direct bisection on the band matrix
   // via full tridiagonalization in double.
@@ -73,6 +106,7 @@ TEST_P(BulgeTest, ReducesToTridiagonalPreservingSpectrum) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BulgeTest,
                          ::testing::Values(std::make_tuple<index_t, index_t>(30, 2),
+                                           std::make_tuple<index_t, index_t>(24, 2),
                                            std::make_tuple<index_t, index_t>(64, 8),
                                            std::make_tuple<index_t, index_t>(100, 16),
                                            std::make_tuple<index_t, index_t>(65, 7),
@@ -82,19 +116,17 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BulgeTest,
 TEST(Bulge, AccumulatesQ) {
   const index_t n = 60, bw = 6;
   auto a = random_band<double>(n, bw, 7);
-  auto work = a;
+  const Matrix<double> a0 = a;
   Matrix<double> q(n, n);
   set_identity(q.view());
   auto qv = q.view();
-  (void)bulge::bulge_chase<double>(work.view(), bw, &qv);
+  auto res = bulge::bulge_chase<double>(a.view(), bw, &qv);
 
   EXPECT_LT(orthogonality_residual<double>(q.view()), 1e-12 * n);
-
-  // Q^T A Q == T (the tridiagonal result).
-  Matrix<double> t1(n, n), t2(n, n);
-  blas::gemm(blas::Trans::Yes, blas::Trans::No, 1.0, q.view(), a.view(), 0.0, t1.view());
-  blas::gemm(blas::Trans::No, blas::Trans::No, 1.0, t1.view(), q.view(), 0.0, t2.view());
-  EXPECT_LT(test::rel_diff<double>(t2.view(), work.view()), 1e-12);
+  EXPECT_LT(similarity_residual(a.view(), q.view(), res), 1e-12);
+  // The chase reads its input and leaves it alone.
+  EXPECT_EQ(std::memcmp(a.data(), a0.data(), sizeof(double) * static_cast<std::size_t>(n * n)),
+            0);
 }
 
 TEST(Bulge, TridiagonalInputUntouched) {
@@ -109,8 +141,7 @@ TEST(Bulge, TridiagonalInputUntouched) {
 TEST(Bulge, FloatPrecisionStable) {
   const index_t n = 120, bw = 12;
   auto a = random_band<float>(n, bw, 11);
-  auto work = a;
-  auto res = bulge::bulge_chase<float>(work.view(), bw, nullptr);
+  auto res = bulge::bulge_chase<float>(a.view(), bw, nullptr);
   auto d = res.d;
   auto e = res.e;
   ASSERT_TRUE(lapack::sterf(d, e).ok());
@@ -136,13 +167,299 @@ TEST(Bulge, DiagonalMatrixIsFixedPoint) {
   for (index_t i = 0; i + 1 < n; ++i) EXPECT_EQ(res.e[static_cast<std::size_t>(i)], 0.0);
 }
 
+// The second stage holds the band in O(n b) storage, not the n x n matrix:
+// 4x the order is at most 4x the bytes (a full matrix would be 16x).
+TEST(Bulge, WorkspaceIsLinearInN) {
+  const std::size_t small = bulge::wavefront_workspace_bytes<float>(1000, 16, false);
+  const std::size_t big = bulge::wavefront_workspace_bytes<float>(4000, 16, false);
+  EXPECT_LE(big, 4 * small);
+  EXPECT_LT(big, 4000ull * 4000ull * 4ull / 50ull);
+}
+
+// ---------------------------------------------------------------------------
+// Compact band storage, checked against a textbook full-storage chase.
+// ---------------------------------------------------------------------------
+
+/// The compact band written back to a symmetric full matrix.
+template <typename T>
+Matrix<T> band_to_full(bulge::detail::BandView<T> band) {
+  Matrix<T> full(band.n, band.n);
+  for (index_t j = 0; j < band.n; ++j)
+    for (index_t i = j; i < std::min(band.n, j + band.ld); ++i) {
+      full(i, j) = band(i, j);
+      full(j, i) = band(i, j);
+    }
+  return full;
+}
+
+/// Full-storage Givens chase: the same elimination order as chase_elim
+/// (diagonals d = bw .. 2, sweeps s, iterations k), each rotation applied as
+/// A <- G^T A G to whole rows and columns of the n x n matrix and, when `q`
+/// is non-null, as Q <- Q G.
+template <typename T>
+void full_storage_chase(Matrix<T> a, index_t bw, std::vector<T>& d, std::vector<T>& e,
+                        Matrix<T>* q) {
+  const index_t n = a.rows();
+  for (index_t dd = std::min(bw, n - 1); dd >= 2; --dd)
+    for (index_t s = 0; s + dd < n; ++s)
+      for (index_t k = 0; s + (k + 1) * dd < n; ++k) {
+        const index_t tcol = (k == 0) ? s : s + k * dd - 1;
+        const index_t j = s + (k + 1) * dd;
+        const index_t i = j - 1;
+        const T f = a(i, tcol);
+        const T g = a(j, tcol);
+        if (g == T{}) continue;
+        const T h = std::hypot(f, g);
+        const T c = f / h;
+        const T sn = g / h;
+        for (index_t col = 0; col < n; ++col) {
+          const T t1 = a(i, col);
+          const T t2 = a(j, col);
+          a(i, col) = c * t1 + sn * t2;
+          a(j, col) = -sn * t1 + c * t2;
+        }
+        for (index_t row = 0; row < n; ++row) {
+          const T t1 = a(row, i);
+          const T t2 = a(row, j);
+          a(row, i) = c * t1 + sn * t2;
+          a(row, j) = -sn * t1 + c * t2;
+        }
+        a(j, tcol) = T{};
+        a(tcol, j) = T{};
+        if (q != nullptr)
+          for (index_t row = 0; row < n; ++row) {
+            const T t1 = (*q)(row, i);
+            const T t2 = (*q)(row, j);
+            (*q)(row, i) = c * t1 + sn * t2;
+            (*q)(row, j) = -sn * t1 + c * t2;
+          }
+      }
+  d.resize(static_cast<std::size_t>(n));
+  e.resize(static_cast<std::size_t>(std::max<index_t>(n - 1, 0)));
+  for (index_t i = 0; i < n; ++i) {
+    d[static_cast<std::size_t>(i)] = a(i, i);
+    if (i + 1 < n) e[static_cast<std::size_t>(i)] = a(i + 1, i);
+  }
+}
+
+bool has_site(const RecoveryLog& log, const std::string& site) {
+  for (const RecoveryEvent& ev : log)
+    if (ev.site == site) return true;
+  return false;
+}
+
+TEST(BandStorage, RoundTripFullCompactFull) {
+  const index_t n = 30, bw = 5;
+  auto a = random_band<double>(n, bw, 1);
+  Workspace ws;
+  auto band = bulge::detail::load_band<double>(a.view(), bw, ws);
+  EXPECT_EQ(band.ld, bw + 2);
+  // The bulge slot (the diagonal just outside the band) starts at zero.
+  for (index_t j = 0; j + bw + 1 < n; ++j) EXPECT_EQ(band(j + bw + 1, j), 0.0);
+  auto back = band_to_full(band);
+  EXPECT_EQ(test::rel_diff<double>(back.view(), a.view()), 0.0);
+}
+
+TEST(BandStorage, GetIsSymmetric) {
+  // One stored triangle: (i, j) and (j, i) are the same entry, loaded from
+  // the lower triangle. A poisoned upper triangle is never read, so the
+  // chase output is bitwise that of the symmetric matrix.
+  const index_t n = 20, bw = 4;
+  auto a = random_band<double>(n, bw, 2);
+  auto poisoned = a;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < j; ++i) poisoned(i, j) = std::nan("");
+
+  Workspace ws;
+  auto band = bulge::detail::load_band<double>(poisoned.view(), bw, ws);
+  EXPECT_EQ(band(7, 4), a(4, 7));
+  EXPECT_EQ(band(7, 4), a(7, 4));
+
+  auto ref = bulge::bulge_chase<double>(a.view(), bw, nullptr);
+  auto got = bulge::bulge_chase<double>(poisoned.view(), bw, nullptr);
+  EXPECT_EQ(ref.d, got.d);
+  EXPECT_EQ(ref.e, got.e);
+}
+
+TEST(BandStorage, FootprintIsLinearInN) {
+  const std::size_t small = bulge::detail::band_bytes<float>(1000, 16);
+  const std::size_t big = bulge::detail::band_bytes<float>(4000, 16);
+  // O(n b): 4x the rows -> at most 4x the bytes (a full matrix would be 16x).
+  EXPECT_LE(big, 4 * small);
+  EXPECT_LT(big, 4000ull * 4000ull * 4ull / 50ull);
+}
+
+class BandChaseTest : public ::testing::TestWithParam<std::tuple<index_t, index_t>> {};
+
+TEST_P(BandChaseTest, MatchesFullStorageChase) {
+  const auto [n, bw] = GetParam();
+  auto a = random_band<double>(n, bw, 100 + n);
+
+  // Full-storage reference, with Q.
+  std::vector<double> d_ref, e_ref;
+  Matrix<double> q_ref(n, n);
+  set_identity(q_ref.view());
+  full_storage_chase<double>(a, bw, d_ref, e_ref, &q_ref);
+
+  // Compact chase.
+  Matrix<double> q(n, n);
+  set_identity(q.view());
+  auto qv = q.view();
+  auto got = bulge::bulge_chase<double>(a.view(), bw, &qv);
+
+  // Identical rotation sequence -> identical tridiagonal and Q up to roundoff.
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(got.d[static_cast<std::size_t>(i)], d_ref[static_cast<std::size_t>(i)], 1e-12);
+  for (index_t i = 0; i + 1 < n; ++i)
+    EXPECT_NEAR(got.e[static_cast<std::size_t>(i)], e_ref[static_cast<std::size_t>(i)], 1e-12);
+  EXPECT_LT(test::rel_diff<double>(q.view(), q_ref.view()), 1e-12);
+}
+
+TEST_P(BandChaseTest, SpectrumPreserved) {
+  const auto [n, bw] = GetParam();
+  auto a = random_band<double>(n, bw, 200 + n);
+
+  auto tri = bulge::bulge_chase<double>(a.view(), bw, nullptr);
+  ASSERT_TRUE(lapack::sterf(tri.d, tri.e).ok());
+
+  auto ref = *evd::reference_eigenvalues(a.view());
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(tri.d[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-9 * n);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BandChaseTest,
+                         ::testing::Values(std::make_tuple<index_t, index_t>(24, 2),
+                                           std::make_tuple<index_t, index_t>(64, 8),
+                                           std::make_tuple<index_t, index_t>(100, 16),
+                                           std::make_tuple<index_t, index_t>(65, 7),
+                                           std::make_tuple<index_t, index_t>(50, 1)));
+
+TEST(BandChase, AfterSbrPipeline) {
+  // SBR output -> compact band -> chase -> eigenvalues == direct pipeline.
+  const index_t n = 96, bw = 8;
+  auto a = test::random_symmetric<float>(n, 9);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  sbr::SbrOptions opt;
+  opt.bandwidth = bw;
+  opt.big_block = 32;
+  auto res = *sbr::sbr_wy(a.view(), ctx, opt);
+
+  auto tri = bulge::bulge_chase(ctx, res.band.view(), bw, nullptr);
+  ASSERT_TRUE(lapack::sterf(tri.d, tri.e).ok());
+
+  Matrix<double> ad(n, n);
+  convert_matrix<float, double>(a.view(), ad.view());
+  auto ref = *evd::reference_eigenvalues(ad.view());
+  for (index_t i = 0; i < n; ++i)
+    EXPECT_NEAR(tri.d[static_cast<std::size_t>(i)], ref[static_cast<std::size_t>(i)], 1e-4 * n);
+}
+
+TEST(BandChase, ArenaAndHeapBandsAgreeBitwise) {
+  // The Context overload takes the band and the rotation log from the
+  // workspace arena, the plain overload from the heap: same bits.
+  const index_t n = 77, bw = 6;
+  auto a = random_band<float>(n, bw, 5);
+  Matrix<float> q_heap(n, n), q_arena(n, n);
+  set_identity(q_heap.view());
+  set_identity(q_arena.view());
+  auto qh = q_heap.view();
+  auto qa = q_arena.view();
+  auto heap = bulge::bulge_chase<float>(a.view(), bw, &qh);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  auto arena = bulge::bulge_chase(ctx, a.view(), bw, &qa);
+  EXPECT_EQ(heap.d, arena.d);
+  EXPECT_EQ(heap.e, arena.e);
+  EXPECT_EQ(std::memcmp(q_heap.data(), q_arena.data(),
+                        sizeof(float) * static_cast<std::size_t>(n * n)),
+            0);
+}
+
+TEST(BandChase, TridiagonalDoesNotDependOnQ) {
+  // The kernel rotates the band only; Q is written from the rotation log.
+  // A values-only chase and a vectors chase produce the same (d, e) bits.
+  const index_t n = 90, bw = 9;
+  auto a = random_band<float>(n, bw, 8);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  Matrix<float> q(n, n);
+  set_identity(q.view());
+  auto qv = q.view();
+  auto without = bulge::bulge_chase(ctx, a.view(), bw, nullptr);
+  auto with = bulge::bulge_chase(ctx, a.view(), bw, &qv);
+  EXPECT_EQ(without.d, with.d);
+  EXPECT_EQ(without.e, with.e);
+}
+
+TEST(BandChase, BandwidthBeyondOrderIsClamped) {
+  // A dense matrix chased with bw >= n - 1: the band is the whole lower
+  // triangle either way, so the output does not depend on how far past
+  // n - 1 the caller's bandwidth reaches.
+  const index_t n = 17;
+  auto a = test::random_symmetric<double>(n, 6);
+  auto exact = bulge::bulge_chase<double>(a.view(), n - 1, nullptr);
+  auto over = bulge::bulge_chase<double>(a.view(), n + 40, nullptr);
+  EXPECT_EQ(exact.d, over.d);
+  EXPECT_EQ(exact.e, over.e);
+  EXPECT_EQ(bulge::detail::band_ld(n, n + 40), n + 1);
+}
+
+// ---------------------------------------------------------------------------
+// The compact chase as the evd pipeline's only second stage.
+// ---------------------------------------------------------------------------
+
+TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
+  // evd::solve chases the SBR band on compact storage; chasing the same band
+  // on full storage gives the same spectrum.
+  const index_t n = 96;
+  auto a = test::random_symmetric<float>(n, 1);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 32;
+  auto compact = *evd::solve(a.view(), ctx, opt);
+  ASSERT_TRUE(compact.converged);
+
+  sbr::SbrOptions sopt;
+  sopt.bandwidth = opt.bandwidth;
+  sopt.big_block = opt.big_block;
+  Context ctx2(eng);
+  auto sres = *sbr::sbr_wy(a.view(), ctx2, sopt);
+  std::vector<float> d, e;
+  full_storage_chase<float>(sres.band, opt.bandwidth, d, e, nullptr);
+  ASSERT_TRUE(lapack::sterf(d, e).ok());
+
+  ASSERT_EQ(compact.eigenvalues.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i)
+    EXPECT_NEAR(compact.eigenvalues[i], d[i], 2e-5f) << i;
+}
+
+TEST(CompactSecondStage, ServesVectorRequestsWithoutNote) {
+  // Rotations stream from the compact chase's log into Q, so a vectors
+  // request runs the same second stage and takes no downgrade.
+  const index_t n = 48;
+  auto a = test::random_symmetric<float>(n, 2);
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  evd::EvdOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 16;
+  opt.vectors = true;
+  auto res = *evd::solve(a.view(), ctx, opt);
+  ASSERT_TRUE(res.converged);
+  EXPECT_FALSE(has_site(res.recovery, "evd.second_stage"));
+  EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues, res.vectors.view()), 1e-5);
+}
+
 // ---------------------------------------------------------------------------
 // Wavefront engine: bitwise equality with the serial reference.
 // ---------------------------------------------------------------------------
 
-/// Run the serial chase and the wavefront chase on copies of the same band
-/// matrix and require element-exact agreement of the tridiagonal (d, e), the
-/// chased matrix, and (when requested) the accumulated Q.
+/// Run the serial chase and the wavefront chase on the same band matrix and
+/// require element-exact agreement of the tridiagonal (d, e) and (when
+/// requested) the accumulated Q.
 template <typename T>
 void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q,
                               const bulge::WavefrontOptions& wopt, std::uint64_t seed) {
@@ -150,33 +467,28 @@ void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q,
                                     << " lanes=" << wopt.max_lanes
                                     << " block=" << wopt.sweep_block
                                     << " tile_rows=" << wopt.tile_rows);
-  auto a = random_band<T>(n, bw, seed);
+  const auto a = random_band<T>(n, bw, seed);
 
-  auto serial = a;
   Matrix<T> q_serial(n, n), q_wave(n, n);
   set_identity(q_serial.view());
   set_identity(q_wave.view());
   auto qs = q_serial.view();
-  auto ref = bulge::bulge_chase<T>(serial.view(), bw, with_q ? &qs : nullptr);
+  auto ref = bulge::bulge_chase<T>(a.view(), bw, with_q ? &qs : nullptr);
 
   tc::Fp32Engine eng;
   Context ctx(eng);
-  auto wave = a;
   auto qw = q_wave.view();
-  auto got = bulge::bulge_chase_wavefront<T>(ctx, wave.view(), bw,
-                                             with_q ? &qw : nullptr, wopt);
+  auto got = bulge::bulge_chase_wavefront<T>(ctx, a.view(), bw, with_q ? &qw : nullptr, wopt);
 
   ASSERT_EQ(ref.d.size(), got.d.size());
   ASSERT_EQ(ref.e.size(), got.e.size());
   for (std::size_t i = 0; i < ref.d.size(); ++i) EXPECT_EQ(ref.d[i], got.d[i]) << "d[" << i << "]";
   for (std::size_t i = 0; i < ref.e.size(); ++i) EXPECT_EQ(ref.e[i], got.e[i]) << "e[" << i << "]";
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < n; ++i) {
-      EXPECT_EQ(serial(i, j), wave(i, j)) << "A(" << i << "," << j << ")";
-      if (with_q) {
+  if (with_q) {
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i)
         EXPECT_EQ(q_serial(i, j), q_wave(i, j)) << "Q(" << i << "," << j << ")";
-      }
-    }
+  }
 }
 
 /// One shared pool for the whole binary: 7 workers + the broadcasting caller
@@ -208,7 +520,7 @@ TEST_P(BulgeWavefrontBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BulgeWavefrontBitwise,
-                         ::testing::Values<index_t>(1, 2, 3, 7, 64, 129, 257));
+                         ::testing::Values<index_t>(1, 2, 3, 7, 31, 64, 129, 257));
 
 TEST(BulgeWavefront, FloatMatchesSerialBitwise) {
   bulge::WavefrontOptions wopt;
@@ -227,8 +539,10 @@ TEST(BulgeWavefront, BlockingChoicesDoNotChangeOutput) {
       wopt.pool = &bulge_test_pool();
       wopt.sweep_block = sweep_block;
       wopt.tile_rows = tile_rows;
-      expect_wavefront_bitwise<double>(129, 3, /*with_q=*/true, wopt, 77);
-      expect_wavefront_bitwise<double>(97, 8, /*with_q=*/false, wopt, 78);
+      for (const bool with_q : {false, true}) {
+        expect_wavefront_bitwise<double>(129, 3, with_q, wopt, 77);
+        expect_wavefront_bitwise<double>(97, 8, with_q, wopt, 78);
+      }
     }
   }
 }
@@ -298,8 +612,10 @@ TEST(BulgeWavefront, RecordsWavefrontStages) {
 /// Chase `a` (bandwidth bw) and keep each peeled diagonal's rotation log, in
 /// peel order (d = bw .. 2), exactly as chase_elim writes it.
 template <typename T>
-std::vector<std::vector<T>> chase_logs(Matrix<T> a, index_t bw) {
+std::vector<std::vector<T>> chase_logs(const Matrix<T>& a, index_t bw) {
   const index_t n = a.rows();
+  Workspace ws;
+  const bulge::detail::BandView<T> band = bulge::detail::load_band(a.view(), bw, ws);
   std::vector<std::vector<T>> logs;
   for (index_t d = std::min(bw, n - 1); d >= 2; --d) {
     std::vector<T> log;
@@ -307,7 +623,7 @@ std::vector<std::vector<T>> chase_logs(Matrix<T> a, index_t bw) {
       const index_t len = bulge::detail::sweep_length(n, d, s);
       std::vector<T> sweep(2 * static_cast<std::size_t>(len));
       for (index_t k = 0; k < len; ++k)
-        bulge::detail::chase_elim(a.view(), n, d, s, k, sweep.data());
+        bulge::detail::chase_elim(band, d, s, k, sweep.data());
       log.insert(log.end(), sweep.begin(), sweep.end());
     }
     logs.push_back(std::move(log));

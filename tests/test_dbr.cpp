@@ -9,19 +9,22 @@
 // note, never a silent clamp.  (ctest label: dbr)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "src/blas/blas.hpp"
+#include "src/bulge/bulge_chasing.hpp"
+#include "src/bulge/bulge_kernels.hpp"
 #include "src/common/context.hpp"
 #include "src/common/norms.hpp"
 #include "src/common/recovery.hpp"
+#include "src/common/workspace.hpp"
 #include "src/evd/evd.hpp"
 #include "src/lapack/sytrd.hpp"
 #include "src/lapack/tridiag.hpp"
 #include "src/perfmodel/shape_trace.hpp"
 #include "src/sbr/band.hpp"
-#include "src/sbr/band_storage.hpp"
 #include "src/sbr/sbr.hpp"
 #include "test_util.hpp"
 
@@ -325,8 +328,9 @@ TEST(DbrShapes, TcSyr2kVariantMatchesTwoGemmNumerics) {
   two_gemm.big_block = nb;
   SbrOptions syr2k = two_gemm;
   syr2k.dbr_use_tc_syr2k = true;
-  auto r1 = *sbr::sbr_dbr(a.view(), e1, two_gemm);
-  auto r2 = *sbr::sbr_dbr(a.view(), e2, syr2k);
+  Context c1(e1), c2(e2);
+  auto r1 = *sbr::sbr_dbr(a.view(), c1, two_gemm);
+  auto r2 = *sbr::sbr_dbr(a.view(), c2, syr2k);
   // Same fp16-operand/fp32-accumulate numerics, different tile walk: agree
   // to TC roundoff.
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-2);
@@ -358,7 +362,7 @@ TEST(DbrLookahead, RequestFallsBackToSerialWithNote) {
 }
 
 // ---------------------------------------------------------------------------
-// Narrow-band compact storage (satellite: DBR bands through band_storage).
+// Narrow DBR bands through the second stage.
 // ---------------------------------------------------------------------------
 
 TEST(DbrBandStorage, NarrowBandRoundTripAndChase) {
@@ -372,27 +376,25 @@ TEST(DbrBandStorage, NarrowBandRoundTripAndChase) {
     Context ctx(eng);
     auto res = *sbr::sbr_dbr(a.view(), ctx, opt);
 
-    auto band = sbr::BandMatrix<float>::from_full(
-        ConstMatrixView<float>(res.band.view()), b);
-    // Round trip preserves every in-band entry.
-    auto full = band.to_full();
+    // Compact storage holds every in-band entry of the narrow band.
+    Workspace ws;
+    auto band = bulge::detail::load_band<float>(res.band.view(), b, ws);
     for (index_t j = 0; j < n; ++j)
       for (index_t i = j; i < std::min(n, j + b + 1); ++i)
-        ASSERT_EQ(full(i, j), res.band(i, j)) << "(" << i << ", " << j << ")";
+        ASSERT_EQ(band(i, j), res.band(i, j)) << "(" << i << ", " << j << ")";
 
-    // Compact chase reproduces the spectrum of the band.
-    std::vector<float> d, e;
-    sbr::bulge_chase_band(band, d, e);
-    Matrix<float> tri(n, n);
+    // The compact chase reproduces the spectrum of the band.
+    auto tri = bulge::bulge_chase<float>(res.band.view(), b, nullptr);
+    Matrix<float> t(n, n);
     for (index_t i = 0; i < n; ++i) {
-      tri(i, i) = d[static_cast<std::size_t>(i)];
+      t(i, i) = tri.d[static_cast<std::size_t>(i)];
       if (i + 1 < n) {
-        tri(i + 1, i) = e[static_cast<std::size_t>(i)];
-        tri(i, i + 1) = e[static_cast<std::size_t>(i)];
+        t(i + 1, i) = tri.e[static_cast<std::size_t>(i)];
+        t(i, i + 1) = tri.e[static_cast<std::size_t>(i)];
       }
     }
     auto ref = reference_eigs(ConstMatrixView<float>(res.band.view()));
-    auto got = reference_eigs(ConstMatrixView<float>(tri.view()));
+    auto got = reference_eigs(ConstMatrixView<float>(t.view()));
     EXPECT_LT(eigenvalue_error(ref.data(), got.data(), n) * n, 1e-4) << "b = " << b;
   }
 }
@@ -406,14 +408,15 @@ TEST(DbrBandStorage, ExtractTridiagonalIsTheBw1SecondStage) {
   tc::Fp32Engine eng;
   Context ctx(eng);
   auto res = *sbr::sbr_dbr(a.view(), ctx, opt);
-  auto band =
-      sbr::BandMatrix<float>::from_full(ConstMatrixView<float>(res.band.view()), 1);
 
-  std::vector<float> d1, e1, d2, e2;
-  band.extract_tridiagonal(d1, e1);
-  sbr::bulge_chase_band(band, d2, e2);  // bw = 1: must be a pure extraction
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(e1, e2);
+  auto tri = bulge::bulge_chase<float>(res.band.view(), 1, nullptr);
+  ASSERT_EQ(tri.d.size(), static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_EQ(tri.d[static_cast<std::size_t>(i)], res.band(i, i));
+    if (i + 1 < n) {
+      EXPECT_EQ(tri.e[static_cast<std::size_t>(i)], res.band(i + 1, i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -452,35 +455,9 @@ TEST(DbrEvd, VerifyGatePassesOnAllEngines) {
   }
 }
 
-TEST(DbrEvd, CompactSecondStageAcceptsDbrBandsEigenvaluesOnly) {
-  const index_t n = 64;
-  auto a = test::random_symmetric<float>(n, 37);
-  tc::Fp32Engine eng;
-  evd::EvdOptions opt;
-  opt.reduction = evd::Reduction::TwoStageDbr;
-  opt.bandwidth = 2;
-  opt.big_block = 16;
-
-  Context c1(eng);
-  auto full = *evd::solve(a.view(), c1, opt);
-  opt.compact_second_stage = true;
-  Context c2(eng);
-  auto compact = *evd::solve(a.view(), c2, opt);
-  ASSERT_TRUE(compact.converged);
-  EXPECT_FALSE(has_site(compact.recovery, "evd.second_stage"));
-
-  ASSERT_EQ(full.eigenvalues.size(), compact.eigenvalues.size());
-  float scale = 0.0f;
-  for (float v : full.eigenvalues) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < full.eigenvalues.size(); ++i)
-    EXPECT_NEAR(full.eigenvalues[i], compact.eigenvalues[i], 1e-4f * scale) << i;
-}
-
-TEST(DbrEvd, CompactSecondStageWithVectorsIsStillNoted) {
-  // Regression for the surfaced downgrade: with vectors the compact flag is
-  // ignored (rotations must stream into Q) and the caller must be told —
-  // including on the DBR reduction, where narrow bands make the compact
-  // memory profile the whole point.
+TEST(DbrEvd, NarrowBandVectorsTakeNoSecondStageNote) {
+  // With vectors the narrow DBR band is chased on compact storage like any
+  // other band, and no second-stage downgrade is reported.
   const index_t n = 48;
   auto a = test::random_symmetric<float>(n, 41);
   tc::Fp32Engine eng;
@@ -490,11 +467,9 @@ TEST(DbrEvd, CompactSecondStageWithVectorsIsStillNoted) {
   opt.bandwidth = 2;
   opt.big_block = 16;
   opt.vectors = true;
-  opt.compact_second_stage = true;
   auto res = *evd::solve(a.view(), ctx, opt);
   ASSERT_TRUE(res.converged);
-  EXPECT_TRUE(has_site(res.recovery, "evd.second_stage"))
-      << "ignored compact_second_stage request was not surfaced";
+  EXPECT_FALSE(has_site(res.recovery, "evd.second_stage"));
   EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues,
                                     ConstMatrixView<float>(res.vectors.view())),
             1e-4);

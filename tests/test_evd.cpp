@@ -161,33 +161,6 @@ TEST(Evd, TimingsPopulated) {
             res.timings.reduction_s + res.timings.bulge_s + res.timings.solver_s - 1e-9);
 }
 
-TEST(Evd, CompactSecondStageIgnoredWithVectorsIsLogged) {
-  // compact_second_stage cannot stream the bulge rotations into Q, so with
-  // vectors requested it is ignored — but the caller must be told.
-  const index_t n = 64;
-  auto a = test::random_symmetric<float>(n, 23);
-  EvdOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 32;
-  opt.vectors = true;
-  opt.compact_second_stage = true;
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  auto res = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(res.converged);
-  bool noted = false;
-  for (const RecoveryEvent& ev : res.recovery)
-    if (ev.site == "evd.second_stage") noted = true;
-  EXPECT_TRUE(noted) << "ignored compact_second_stage request was not surfaced";
-
-  // Eigenvalues-only with the same flag takes the compact path silently.
-  opt.vectors = false;
-  Context ctx2(eng);
-  auto res2 = *evd::solve(a.view(), ctx2, opt);
-  ASSERT_TRUE(res2.converged);
-  for (const RecoveryEvent& ev : res2.recovery) EXPECT_NE(ev.site, "evd.second_stage");
-}
-
 TEST(Evd, TrivialSizesSolveInsteadOfAborting) {
   tc::Fp32Engine eng;
   Context ctx(eng);

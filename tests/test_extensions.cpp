@@ -1,5 +1,5 @@
-// Options wired in after the core reproduction: compact second stage,
-// engine-native TC syr2k in ZY-SBR, and block-reflector application.
+// Options wired in after the core reproduction: engine-native TC syr2k in
+// ZY-SBR and block-reflector application.
 #include <gtest/gtest.h>
 
 #include "src/common/context.hpp"
@@ -13,38 +13,6 @@ namespace tcevd {
 namespace {
 
 using blas::Trans;
-
-TEST(CompactSecondStage, SameEigenvaluesAsFullStorage) {
-  const index_t n = 96;
-  auto a = test::random_symmetric<float>(n, 1);
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  evd::EvdOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 32;
-  auto full = *evd::solve(a.view(), ctx, opt);
-  opt.compact_second_stage = true;
-  auto compact = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(full.converged && compact.converged);
-  for (index_t i = 0; i < n; ++i)
-    EXPECT_NEAR(full.eigenvalues[static_cast<std::size_t>(i)],
-                compact.eigenvalues[static_cast<std::size_t>(i)], 2e-5f);
-}
-
-TEST(CompactSecondStage, IgnoredWhenVectorsRequested) {
-  const index_t n = 48;
-  auto a = test::random_symmetric<float>(n, 2);
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  evd::EvdOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 16;
-  opt.compact_second_stage = true;
-  opt.vectors = true;  // falls back to the full-storage chase + Q
-  auto res = *evd::solve(a.view(), ctx, opt);
-  ASSERT_TRUE(res.converged);
-  EXPECT_LT(evd::eigenpair_residual(a.view(), res.eigenvalues, res.vectors.view()), 1e-5);
-}
 
 TEST(ZyTcSyr2k, MatchesTwoGemmTrailingUpdate) {
   const index_t n = 96, b = 8;

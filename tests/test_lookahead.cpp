@@ -262,30 +262,5 @@ TEST(RunPair, OverlapPoolIsSharedAndReentrantFromCallers) {
   EXPECT_EQ(done.load(), 16);
 }
 
-TEST(CompatContext, CachedPerThreadPerEngine) {
-  tc::Fp32Engine e1, e2;
-  Context& c1 = compat_context(e1);
-  Context& c1_again = compat_context(e1);
-  Context& c2 = compat_context(e2);
-  EXPECT_EQ(&c1, &c1_again);  // same engine -> same scratch context
-  EXPECT_NE(&c1, &c2);
-  EXPECT_EQ(&c1.engine(), static_cast<tc::GemmEngine*>(&e1));
-}
-
-TEST(CompatContext, DeprecatedOverloadKeepsArenaWarm) {
-  tc::Fp32Engine engine;
-  Matrix<float> a = test::random_symmetric<float>(64, 0xC0FFEE);
-  SbrOptions opt;
-  opt.bandwidth = 8;
-  opt.big_block = 16;
-  ASSERT_TRUE(sbr::sbr_wy(a.view(), engine, opt).ok());  // deprecated overload
-  Workspace& ws = compat_context(engine).workspace();
-  const long spills = ws.spill_count();
-  const std::size_t blocks = ws.block_count();
-  ASSERT_TRUE(sbr::sbr_wy(a.view(), engine, opt).ok());
-  EXPECT_EQ(ws.spill_count(), spills);  // second call re-used the warm arena
-  EXPECT_EQ(ws.block_count(), blocks);
-}
-
 }  // namespace
 }  // namespace tcevd

@@ -68,7 +68,8 @@ TEST_P(SbrCorrectnessTest, Fp32ReducesAndIsBackwardStable) {
   opt.panel = p.panel;
   opt.accumulate_q = true;
   tc::Fp32Engine eng;
-  auto res = p.wy ? *sbr::sbr_wy(a.view(), eng, opt) : *sbr::sbr_zy(a.view(), eng, opt);
+  Context ctx(eng);
+  auto res = p.wy ? *sbr::sbr_wy(a.view(), ctx, opt) : *sbr::sbr_zy(a.view(), ctx, opt);
 
   // Exactly banded (panel zeros are written, not computed).
   EXPECT_EQ(sbr::band_violation<float>(res.band.view(), p.b), 0.0);
@@ -102,12 +103,13 @@ TEST(Sbr, ZyWithSyr2kMatchesTwoGemmPath) {
   const index_t n = 80, b = 8;
   auto a = test::random_symmetric<float>(n, 7);
   tc::Fp32Engine eng;
+  Context ctx(eng);
   SbrOptions o1;
   o1.bandwidth = b;
   SbrOptions o2 = o1;
   o2.zy_use_syr2k = true;
-  auto r1 = *sbr::sbr_zy(a.view(), eng, o1);
-  auto r2 = *sbr::sbr_zy(a.view(), eng, o2);
+  auto r1 = *sbr::sbr_zy(a.view(), ctx, o1);
+  auto r2 = *sbr::sbr_zy(a.view(), ctx, o2);
   // Same algorithm, different kernels: results agree to fp32 roundoff.
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-5);
 }
@@ -118,12 +120,13 @@ TEST(Sbr, WyAndZyProduceSameBandUpToSigns) {
   const index_t n = 96, b = 8;
   auto a = test::random_symmetric<float>(n, 9);
   tc::Fp32Engine eng;
+  Context ctx(eng);
   SbrOptions zy;
   zy.bandwidth = b;
   SbrOptions wy = zy;
   wy.big_block = 32;
-  auto rz = *sbr::sbr_zy(a.view(), eng, zy);
-  auto rw = *sbr::sbr_wy(a.view(), eng, wy);
+  auto rz = *sbr::sbr_zy(a.view(), ctx, zy);
+  auto rw = *sbr::sbr_wy(a.view(), ctx, wy);
   auto ez = band_eigs(rz.band.view());
   auto ew = band_eigs(rw.band.view());
   EXPECT_LT(eigenvalue_error(ez.data(), ew.data(), n) * n, 1e-5);
@@ -133,11 +136,12 @@ TEST(Sbr, TensorCoreEngineKeepsTcEpsilonAccuracy) {
   const index_t n = 128, b = 16;
   auto a = test::random_symmetric<float>(n, 11);
   tc::TcEngine eng(tc::TcPrecision::Fp16);
+  Context ctx(eng);
   SbrOptions opt;
   opt.bandwidth = b;
   opt.big_block = 32;
   opt.accumulate_q = true;
-  auto res = *sbr::sbr_wy(a.view(), eng, opt);
+  auto res = *sbr::sbr_wy(a.view(), ctx, opt);
   EXPECT_EQ(sbr::band_violation<float>(res.band.view(), b), 0.0);
   // Paper Table 3: errors bounded by the TC machine eps ~ 1e-4 (after the
   // 1/N normalization they report ~1e-4; unnormalized stays ~b*eps16).
@@ -159,8 +163,9 @@ TEST(Sbr, EcTcEngineRecoversFp32Accuracy) {
 
   tc::TcEngine tc_eng(tc::TcPrecision::Fp16);
   tc::EcTcEngine ec_eng(tc::TcPrecision::Fp16);
-  auto r_tc = *sbr::sbr_wy(a.view(), tc_eng, opt);
-  auto r_ec = *sbr::sbr_wy(a.view(), ec_eng, opt);
+  Context tc_ctx(tc_eng), ec_ctx(ec_eng);
+  auto r_tc = *sbr::sbr_wy(a.view(), tc_ctx, opt);
+  auto r_ec = *sbr::sbr_wy(a.view(), ec_ctx, opt);
 
   const double err_tc = sbr_backward_error(a.view(), r_tc.q.view(), r_tc.band.view());
   const double err_ec = sbr_backward_error(a.view(), r_ec.q.view(), r_ec.band.view());
@@ -212,8 +217,9 @@ TEST(Sbr, CachedOaVariantMatchesLiteral) {
   lit.big_block = 32;
   SbrOptions cached = lit;
   cached.wy_cache_oa_product = true;
-  auto r1 = *sbr::sbr_wy(a.view(), e1, lit);
-  auto r2 = *sbr::sbr_wy(a.view(), e2, cached);
+  Context c1(e1), c2(e2);
+  auto r1 = *sbr::sbr_wy(a.view(), c1, lit);
+  auto r2 = *sbr::sbr_wy(a.view(), c2, cached);
   EXPECT_LT(test::rel_diff<float>(r1.band.view(), r2.band.view()), 1e-4);
 }
 
@@ -245,11 +251,12 @@ TEST(Sbr, FormWMatchesProgressiveAccumulation) {
   const index_t n = 96, b = 8;
   auto a = test::random_symmetric<float>(n, 19);
   tc::Fp32Engine eng;
+  Context ctx(eng);
   SbrOptions wy;
   wy.bandwidth = b;
   wy.big_block = 32;
   wy.accumulate_q = true;  // uses form_q internally
-  auto rw = *sbr::sbr_wy(a.view(), eng, wy);
+  auto rw = *sbr::sbr_wy(a.view(), ctx, wy);
 
   // Progressive reference: apply blocks one by one to the identity.
   Matrix<float> q(n, n);
@@ -330,10 +337,11 @@ TEST(Sbr, AlreadyBandedInputPreservedUpToSigns) {
   make_symmetric(a.view());
   sbr::truncate_to_band<float>(a.view(), b);
   tc::Fp32Engine eng;
+  Context ctx(eng);
   SbrOptions opt;
   opt.bandwidth = b;
   opt.big_block = 16;
-  auto res = *sbr::sbr_wy(a.view(), eng, opt);
+  auto res = *sbr::sbr_wy(a.view(), ctx, opt);
   EXPECT_EQ(sbr::band_violation<float>(res.band.view(), b), 0.0);
   for (index_t i = 0; i < n; ++i) EXPECT_NEAR(res.band(i, i), a(i, i), 1e-4);
   auto ref = reference_eigs(a.view());

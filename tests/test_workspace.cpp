@@ -166,9 +166,10 @@ TEST(Context, StageTimerAccumulatesByName) {
 // The allocation-regression guarantee of the refactor: a second evd::solve
 // of the same shape on the same Context must not grow the arena at all —
 // no new blocks, no spills — regardless of how accurate workspace_query is.
-/// A vectors solve through the two-stage DBR reduction at a size (n >= 256)
-/// where the bulge stage takes the wavefront and the pooled Q update with its
-/// packed row blocks.
+/// A vectors solve through the two-stage DBR reduction at a size
+/// (kWavefrontN) where the bulge stage takes the wavefront and the pooled Q
+/// update with its packed row blocks.
+constexpr index_t kWavefrontN = bulge::kAutoWavefrontMinN;
 evd::EvdOptions wavefront_vectors_options() {
   evd::EvdOptions opt;
   opt.reduction = evd::Reduction::TwoStageDbr;
@@ -210,7 +211,7 @@ TEST(Workspace, SteadyStateEvdSolveReusesArena) {
   opt.vectors = true;
   opt.solver = evd::TriSolver::Bisection;  // exercises the arena-heavy path
   expect_steady_state_solve(96, opt);
-  expect_steady_state_solve(320, wavefront_vectors_options());
+  expect_steady_state_solve(kWavefrontN, wavefront_vectors_options());
 }
 
 // solve_many's steady-state contract: a Context reused across a 16-problem
@@ -303,9 +304,10 @@ TEST(Workspace, SteadyStateGemmAndTcGemmAreAllocationFree) {
 
 // The wavefront bulge chase's steady-state allocation budget must equal the
 // serial chase's exactly (the two unavoidable result-vector allocations of
-// BulgeResult::d/e and nothing else): progress vector and Q support live in
-// the warm workspace arena, lanes fan out through the allocation-free
-// try_broadcast, and telemetry stage names are interned on the warm-up call.
+// BulgeResult::d/e and nothing else): compact band, progress vector and Q
+// support live in the warm workspace arena, lanes fan out through the
+// allocation-free try_broadcast, and telemetry stage names are interned on
+// the warm-up calls.
 TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   const index_t n = 128, bw = 8;
   Rng rng(2024);
@@ -321,16 +323,15 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   wopt.pool = &pool;
 
   // Warm-up: sizes the arena, interns the stage names, spins up the pool.
-  Matrix<double> warm = a;
-  (void)bulge::bulge_chase_wavefront<double>(ctx, warm.view(), bw, nullptr, wopt);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
+  (void)bulge::bulge_chase(ctx, a.view(), bw, nullptr);
   const std::size_t blocks = ctx.workspace().block_count();
   const long spills = ctx.workspace().spill_count();
 
-  Matrix<double> w1 = a, w2 = a;  // copies made BEFORE the measured window
   const std::uint64_t before = test::heap_allocs();
-  auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, w1.view(), bw, nullptr, wopt);
+  auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
   const std::uint64_t mid = test::heap_allocs();
-  auto r_serial = bulge::bulge_chase<double>(w2.view(), bw, nullptr);
+  auto r_serial = bulge::bulge_chase(ctx, a.view(), bw, nullptr);
   const std::uint64_t after = test::heap_allocs();
 
   EXPECT_EQ(mid - before, after - mid)
@@ -362,28 +363,27 @@ TEST(Workspace, SteadyStateWavefrontChaseWithQIsAllocationFree) {
   wopt.pool = &pool;
 
   // Warm-up: sizes the arena, interns the stage names, spins up the pool.
-  Matrix<double> warm = a, q_warm(n, n);
+  Matrix<double> q_warm(n, n);
   auto qv_warm = q_warm.view();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, warm.view(), bw, &qv_warm, wopt);
-  Matrix<double> warm_serial = a;
-  (void)bulge::bulge_chase(ctx, warm_serial.view(), bw, &qv_warm);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, &qv_warm, wopt);
+  (void)bulge::bulge_chase(ctx, a.view(), bw, &qv_warm);
   const std::size_t blocks = ctx.workspace().block_count();
   const long spills = ctx.workspace().spill_count();
 
   // Copies made BEFORE the measured window.
-  Matrix<double> w_plain = a, w_q = a, w_serial = a, q1(n, n), q2(n, n);
+  Matrix<double> q1(n, n), q2(n, n);
   set_identity(q1.view());
   set_identity(q2.view());
   auto qv1 = q1.view();
   auto qv2 = q2.view();
   const std::uint64_t before = test::heap_allocs();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, w_plain.view(), bw, nullptr, wopt);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
   const std::uint64_t plain = test::heap_allocs() - before;
   const std::uint64_t mid = test::heap_allocs();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, w_q.view(), bw, &qv1, wopt);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, &qv1, wopt);
   const std::uint64_t with_q = test::heap_allocs() - mid;
   const std::uint64_t mid2 = test::heap_allocs();
-  (void)bulge::bulge_chase(ctx, w_serial.view(), bw, &qv2);
+  (void)bulge::bulge_chase(ctx, a.view(), bw, &qv2);
   const std::uint64_t serial_q = test::heap_allocs() - mid2;
 
   EXPECT_EQ(with_q, plain) << "the pooled Q update allocated " << (with_q - plain);
@@ -415,8 +415,8 @@ TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
   opt.big_block = 16;
   opt.vectors = true;
   expect_covered(80, opt);
-  EXPECT_GT(expect_covered(320, wavefront_vectors_options()), 0.0)
-      << "n = 320 should take the wavefront bulge chase";
+  EXPECT_GT(expect_covered(kWavefrontN, wavefront_vectors_options()), 0.0)
+      << "n = " << kWavefrontN << " should take the wavefront bulge chase";
 }
 
 }  // namespace
