@@ -147,23 +147,32 @@ void BM_BulgeChase(benchmark::State& state) {
 }
 BENCHMARK(BM_BulgeChase)->Arg(256)->Arg(512);
 
+/// Divide & conquer on a random tridiagonal, in T, with vectors (z = I) or
+/// values only.
+template <typename T, bool kVectors>
 void BM_Stedc(benchmark::State& state) {
   const index_t n = state.range(0);
   Rng rng(9);
-  std::vector<double> d0(static_cast<std::size_t>(n)), e0(static_cast<std::size_t>(n - 1));
-  for (auto& v : d0) v = rng.normal();
-  for (auto& v : e0) v = rng.normal();
+  std::vector<T> d0(static_cast<std::size_t>(n)), e0(static_cast<std::size_t>(n - 1));
+  for (auto& v : d0) v = static_cast<T>(rng.normal());
+  for (auto& v : e0) v = static_cast<T>(rng.normal());
   for (auto _ : state) {
     auto d = d0;
     auto e = e0;
-    Matrix<double> z(n, n);
-    set_identity(z.view());
-    auto zv = z.view();
-    bench::require_ok(lapack::stedc<double>(d, e, &zv));
+    if constexpr (kVectors) {
+      Matrix<T> z(n, n);
+      set_identity(z.view());
+      auto zv = z.view();
+      bench::require_ok(lapack::stedc<T>(d, e, &zv));
+    } else {
+      bench::require_ok(lapack::stedc<T>(d, e, nullptr));
+    }
     benchmark::DoNotOptimize(d.data());
   }
 }
-BENCHMARK(BM_Stedc)->Arg(128)->Arg(512);
+BENCHMARK(BM_Stedc<double, true>)->Arg(128)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stedc<float, true>)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stedc<double, false>)->Arg(512)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 void BM_SytrdBlocked(benchmark::State& state) {
   const index_t n = state.range(0);

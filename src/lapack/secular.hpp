@@ -9,6 +9,16 @@
 // eigenvector formation accurate the root is returned as an *offset from the
 // nearest pole* (anchor), never as an absolute value — the differences
 // d_i - lambda_j are then computable without cancellation.
+//
+// The iteration is LAPACK dlaed4's (R.-C. Li, "Solving secular equations
+// stably and efficiently", LAWN 89): rational interpolation steps that model
+// the poles on either side of the anchor exactly and the rest by a fixed
+// weight or by the "middle way", in double, until |f| is below dlaed4's
+// rounding-error bound. A step that leaves the bracket falls back to
+// geometric bisection toward the anchor pole. The initial guess comes from
+// the one evaluation of f at the bracket's midpoint: a two-pole model solved
+// in closed form, refined on a local model (the nearest poles exact, the
+// rest as one effective pole per side) at O(1) cost.
 #pragma once
 
 #include <vector>
@@ -20,7 +30,7 @@ namespace tcevd::lapack {
 struct SecularRoot {
   index_t anchor = 0;      ///< index of the pole the offset is relative to
   long double offset = 0;  ///< lambda = d[anchor] + offset
-  double value() const noexcept { return 0.0; }  // unused; see lambda_of
+  int evals = 0;           ///< O(k) evaluations of f the solve took
 };
 
 /// Root j (0-based) of the secular equation. d must be strictly ascending,
