@@ -303,6 +303,53 @@ void register_gemm_sweep() {
         }
 }
 
+// SBR's GEMM stream (tc-fp16, b = 32, nb = 256 at n = 1024): the skinny
+// m x 32 x m OA·w' products, the m x 32 x 224 P·Y^T products, and the
+// 1024 x 1024 x 992 Q formation, serial and pooled, at whatever level
+// TCEVD_SIMD resolved (run the binary once per level for the full table).
+void sbr_gemm(benchmark::State& state, blas::Trans tb, index_t m, index_t n, index_t k,
+              bool pooled) {
+  Rng rng(12);
+  Matrix<float> a(m, k);
+  Matrix<float> b(tb == blas::Trans::No ? k : n, tb == blas::Trans::No ? n : k);
+  Matrix<float> c(m, n);
+  fill_normal(rng, a.view());
+  fill_normal(rng, b.view());
+  for (auto _ : state) {
+    std::optional<blas::SerialGemmScope> serial;
+    if (!pooled) serial.emplace();
+    tc::tc_gemm(blas::Trans::No, tb, 1.0f, a.view(), b.view(), 0.0f, c.view(),
+                tc::TcPrecision::Fp16);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOPS"] =
+      benchmark::Counter(2.0 * double(m) * double(n) * double(k) * state.iterations() / 1e9,
+                         benchmark::Counter::kIsRate);
+  state.SetLabel(blas::simd::active_level_name());
+}
+
+void register_sbr_gemms() {
+  struct Shape {
+    std::string name;
+    blas::Trans tb;
+    index_t m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (const index_t m : {224, 480, 736, 992}) {
+    shapes.push_back({std::to_string(m) + "x32x" + std::to_string(m), blas::Trans::No, m, 32, m});
+    shapes.push_back({std::to_string(m) + "x32x224", blas::Trans::Yes, m, 32, 224});
+  }
+  shapes.push_back({"1024x1024x992", blas::Trans::No, 1024, 1024, 992});
+  for (const Shape& s : shapes)
+    for (bool pooled : {false, true}) {
+      const std::string name = std::string("BM_SbrGemm/tc-fp16/") +
+                               (s.tb == blas::Trans::No ? "NN/" : "NT/") + s.name +
+                               (pooled ? "/pooled/" : "/serial/") +
+                               blas::simd::active_level_name();
+      benchmark::RegisterBenchmark(name.c_str(), sbr_gemm, s.tb, s.m, s.n, s.k, pooled);
+    }
+}
+
 }  // namespace
 }  // namespace tcevd
 
@@ -311,6 +358,7 @@ void register_gemm_sweep() {
 // doubles as a machine-readable perf-trajectory baseline.
 int main(int argc, char** argv) {
   tcevd::register_gemm_sweep();
+  tcevd::register_sbr_gemms();
   // Record which kernel family resolved at startup in the JSON context block,
   // so BENCH_gemm.json is self-describing about the SIMD level it measured.
   benchmark::AddCustomContext("simd_kernel", tcevd::blas::simd::active_level_name());

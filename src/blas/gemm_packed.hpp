@@ -8,24 +8,37 @@
 // pass it already makes over the operands — see src/tensorcore/tc_gemm.cpp
 // and ec_tcgemm.cpp.
 //
-// Threading: the macro-tile loop fans out over disjoint C tiles on gemm_pool()
-// via ThreadPool::try_broadcast (allocation-free), subject to the policy in
-// gemm_threading.hpp. Packing stays on the calling thread; workers only read
-// the packed panels (the broadcast handshake provides the happens-before
-// edges). Because tiles are disjoint and the per-tile fp32/fp64 accumulation
-// order is untouched, pooled results are bitwise-identical to serial ones.
+// Threading (BLIS scheme; Smith et al., IPDPS 2014): one fan-out per (j0, k0)
+// block on gemm_pool() via ThreadPool::try_broadcast (allocation-free),
+// subject to the policy in gemm_threading.hpp. Inside a block every lane
+//   1. packs a share of the block's op(B) panels into the caller's shared B
+//      buffer (chunks claimed off an atomic counter),
+//   2. waits until every B chunk is packed (the barrier: a claimed chunk is
+//      always being packed by a running lane, so the wait cannot deadlock
+//      whatever number of lanes actually showed up),
+//   3. claims (ic slice, jr range) units off a second counter and, one
+//      kMR-row op(A) micro-panel of the slice at a time, packs the panel
+//      into its own slot of the caller's scratch and runs it against the
+//      unit's B panels.
+// Units are disjoint C blocks and each C element keeps its kc-blocked
+// accumulation chain, so pooled results are bitwise-identical to serial ones
+// (the serial path is the same code with one lane).
 //
-// Allocation discipline: pack buffers are thread_local and sized once at
-// first use, so a steady-state call performs zero heap allocations whether it
-// runs serial or pooled. The arenas are 64-byte aligned (AlignedVector) so
-// the SIMD micro-kernels can use aligned vector loads on the packed panels.
+// Allocation discipline: all scratch lives in the calling thread's
+// thread_local CallerBuffers — the shared B block and one A micro-panel
+// slot per lane, picked by the lane's broadcast index — grown on demand, so
+// pool workers allocate nothing and a steady-state call performs zero heap
+// allocations whether it runs serial or pooled. The arenas are 64-byte
+// aligned (AlignedVector) so the SIMD micro-kernels can use aligned vector
+// loads on the packed panels.
 //
 // SIMD: the micro-kernels route through simd::active_kernels() — a runtime
 // dispatch table resolved once from TCEVD_SIMD / cpuid / a bitwise
 // self-check (src/blas/simd_dispatch.hpp). The scalar reference lives in
 // gemm_microkernel_scalar.hpp; any vector kernel the table installs is
 // bitwise-identical to it, so nothing downstream can observe which family
-// ran except the dispatch_count telemetry.
+// ran except the dispatch_count telemetry. Calls whose transforms both
+// produce fp16 values select the table's fp16-operand entry (exact FMA).
 //
 // ABFT (see src/blas/abft.hpp): when an AbftScope is active, every C
 // micro-tile is verified against a column-checksum invariant computed from
@@ -36,6 +49,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -56,6 +70,13 @@ namespace tcevd {
 namespace blas {
 
 /// Default PackTransform: elements pass through untouched.
+///
+/// PackTransform contract: operator()(v) maps one element and must send +0
+/// to +0 (packing zero-pads panels and may transform the padded run in
+/// place). Optional members: a batch form `apply(src, dst, n)` (src == dst
+/// allowed), and `bool fp16_values() const` — true when every value the
+/// transform produces is an fp16 value, which lets the micro-kernel use the
+/// exact-FMA entry when both operands' transforms say so.
 struct IdentityTransform {
   template <typename T>
   T operator()(T v) const {
@@ -65,86 +86,78 @@ struct IdentityTransform {
 
 namespace packed {
 
-// Cache-blocking parameters (BLIS-style). The register-tile shape kMR x kNR
-// lives in gemm_microkernel_scalar.hpp next to the kernels it defines. A
-// packs into MR-row panels, B into NR-column panels, k-major within each
-// panel, so the micro-kernel streams contiguous memory with an MR x NR
-// accumulator in registers; MC/KC/NC keep the packed panels cache-resident.
+// Blocking parameters (BLIS-style). The register-tile shape kMR x kNR lives
+// in gemm_microkernel_scalar.hpp next to the kernels it defines. A packs into
+// MR-row panels, B into NR-column panels, k-major within each panel, so the
+// micro-kernel streams contiguous memory with an MR x NR accumulator in
+// registers; KC/NC keep the shared B block L2-resident, and MC caps the rows
+// of one lane work unit (an ic slice).
 inline constexpr index_t kMC = 128;
 inline constexpr index_t kKC = 256;
 inline constexpr index_t kNC = 1024;
+static_assert(kMC % kMR == 0 && kNC % kNR == 0, "blocks must hold whole panels");
 
-inline constexpr std::size_t kApackElems = static_cast<std::size_t>(kMC + kMR) * kKC;
-inline constexpr std::size_t kBpackElems = static_cast<std::size_t>(kKC) * (kNC + kNR);
+inline constexpr std::size_t kApanelElems = static_cast<std::size_t>(kMR) * kKC;
 
-/// Thread-local pack storage, sized once per thread at first use. The second
-/// pair (a2/b2) backs the dual-operand kernels (EC head–tail split packing,
-/// the syr2k product pair). The arenas are 64-byte aligned: the AVX2 kernels
-/// aligned-load the packed A panels, legal because every panel/micro-panel
-/// offset into the arena is a multiple of kMR elements.
-template <typename T>
-struct PackBuffers {
-  AlignedVector<T> a, b, a2, b2;
-  PackBuffers() : a(kApackElems), b(kBpackElems), a2(kApackElems), b2(kBpackElems) {
-    TCEVD_CHECK(reinterpret_cast<std::uintptr_t>(a.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(b.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(a2.data()) % kKernelAlignment == 0 &&
-                    reinterpret_cast<std::uintptr_t>(b2.data()) % kKernelAlignment == 0,
-                "pack arenas must be 64-byte aligned for the SIMD kernels");
-  }
-};
-
-// The panel-offset argument above: (kMR * sizeof(T)) must divide the arena
-// alignment, or offsets p * kMR * kc would break the aligned-load contract.
-static_assert(kKernelAlignment % (static_cast<std::size_t>(kMR) * sizeof(double)) == 0,
-              "packed A panel offsets must preserve vector alignment");
-
-template <typename T>
-PackBuffers<T>& pack_buffers() {
-  thread_local PackBuffers<T> bufs;
-  return bufs;
-}
+// The arenas are 64-byte aligned (AlignedVector) and the SIMD kernels
+// aligned-load the packed A panels: a panel row (kMR elements) must span
+// whole alignment quanta so every k-row of a panel stays aligned.
+static_assert((static_cast<std::size_t>(kMR) * sizeof(float)) % kKernelAlignment == 0,
+              "packed A panel rows must preserve vector alignment");
 
 // --- ABFT column checksums -------------------------------------------------
 
-/// Per-micro-panel checksum capacity: mtiles <= kMC/kMR panels, kc <= kKC
+/// Rows per checksum group: each kMR-row panel carries one checksum per
+/// 8-row half, so the tolerance's row term stays at 8 whatever kMR is.
+inline constexpr index_t kAbftRows = 8;
+static_assert(kMR % kAbftRows == 0, "panels split into whole checksum groups");
+inline constexpr index_t kAbftGroups = kMR / kAbftRows;
+
+/// Per-panel checksum vector length: kAbftGroups row groups, kc <= kKC
 /// k-steps each. Checksums carry a plain and an absolute-value sum (the
 /// latter scales the floating-point comparison tolerance).
-inline constexpr std::size_t kAcsumElems =
-    static_cast<std::size_t>(kMC / kMR) * kKC;
+inline constexpr std::size_t kAcsumElems = static_cast<std::size_t>(kAbftGroups) * kKC;
 
-/// Thread-local checksum storage, allocated lazily on a thread's first ABFT
-/// GEMM (non-ABFT callers never touch it). The second pair backs the
-/// dual-A-operand pair kernel (tc_syr2k).
-struct AbftBuffers {
-  std::vector<double> sa, sa_abs, sa2, sa2_abs;
-  AbftBuffers()
-      : sa(kAcsumElems), sa_abs(kAcsumElems), sa2(kAcsumElems), sa2_abs(kAcsumElems) {}
+/// The calling thread's GEMM scratch; pool lanes work in the caller's.
+///   b, b2: the shared op(B) block (b2: the EC tail panels or the pair
+///     kernel's second product; only the flavors that use it allocate it).
+///     Each reserves the largest block (kKC x kNC) on first use and is
+///     resized, never reallocated, up to the largest block this thread has
+///     packed: a thread issuing only small GEMMs never touches a megabyte of
+///     arena, and growth leaves no freed blocks behind in the heap (growing
+///     by reallocation raised eig-vectors peak RSS by about 4 MiB).
+///   a: one slot of two kMR x kKC micro-panels (the second for the pair
+///     kernel) per lane, indexed by the lane's broadcast index.
+///   sums: ABFT only, one slot of four checksum vectors per lane.
+/// Pool workers therefore allocate nothing, and same-shape steady-state
+/// calls allocate nothing on the caller either.
+template <typename T>
+struct CallerBuffers {
+  AlignedVector<T> b, b2, a;
+  std::vector<double> sums;
 };
 
-inline AbftBuffers& abft_buffers() {
-  thread_local AbftBuffers bufs;
+template <typename T>
+CallerBuffers<T>& caller_buffers() {
+  thread_local CallerBuffers<T> bufs;
   return bufs;
 }
 
-/// Row-sum checksum vector of a packed A block: sa[p*kc + k] sums the kMR
-/// lanes of micro-panel p at k-step k (zero-padded lanes contribute zero),
-/// sa_abs the absolute values. Reads the freshly packed, cache-resident
-/// panel, so the sweep rides the pack's memory traffic the way the fused
-/// rounding transform rides the operand read.
+/// Row-sum checksum vectors of one packed A micro-panel: sa[g*kc + k] sums
+/// lanes [8g, 8g+8) at k-step k (zero-padded lanes contribute zero), sa_abs
+/// the absolute values. Reads the freshly packed, cache-resident panel, so
+/// the sweep rides the pack's memory traffic the way the fused rounding
+/// transform rides the operand read.
 template <typename T>
-void compute_a_checksums(const T* buf, index_t mc, index_t kc, double* sa,
-                         double* sa_abs) {
-  const index_t mtiles = (mc + kMR - 1) / kMR;
-  for (index_t p = 0; p < mtiles; ++p) {
-    const T* panel = buf + p * kMR * kc;
-    double* s = sa + p * kc;
-    double* sabs = sa_abs + p * kc;
+void compute_a_checksums(const T* panel, index_t kc, double* sa, double* sa_abs) {
+  for (index_t g = 0; g < kAbftGroups; ++g) {
+    double* s = sa + g * kc;
+    double* sabs = sa_abs + g * kc;
     for (index_t k = 0; k < kc; ++k) {
-      const T* col = panel + k * kMR;
+      const T* col = panel + k * kMR + g * kAbftRows;
       double sum = 0.0;
       double asum = 0.0;
-      for (index_t r = 0; r < kMR; ++r) {
+      for (index_t r = 0; r < kAbftRows; ++r) {
         const double v = static_cast<double>(col[r]);
         sum += v;
         asum += std::abs(v);
@@ -197,69 +210,50 @@ inline void corrupt_value(T& v) noexcept {
 /// cost a redundant (bitwise-identical) tile recompute, never correctness.
 inline constexpr double kAbftSafety = 8.0;
 
-/// Tolerance for one column's checksum comparison: the micro-kernel
-/// accumulates kc products in T precision and the tile sums <= kMR of them,
+/// Tolerance for one checksum comparison: the micro-kernel accumulates kc
+/// products in T precision and a checksum group sums <= kAbftRows of them,
 /// so the drift between the double-precision expected sum and the actual
-/// tile column sum is bounded by ~(kc + kMR) * eps_T * (sum of |terms|).
+/// group sum is bounded by ~(kc + kAbftRows) * eps_T * (sum of |terms|).
 template <typename T>
 inline double abft_tolerance(index_t kc, double abs_scale) noexcept {
   return kAbftSafety * static_cast<double>(std::numeric_limits<T>::epsilon()) *
-             (static_cast<double>(kc) + static_cast<double>(kMR)) * abs_scale +
+             (static_cast<double>(kc) + static_cast<double>(kAbftRows)) * abs_scale +
          1e-300;
 }
 
 /// Column-checksum verification of one accumulated tile (kMR-ld buffer
-/// holding fl(alpha*acc)): for every column j,
-///   sum_i tile(i, j)  ?=  alpha * sum_k sa(k) * bp(k, j).
+/// holding fl(alpha * (acc1 + acc2))): for every column j and row group g,
+///   sum_{i in g} tile(i, j)  ?=  alpha * sum_s sum_k sa_s(g, k) * bp_s(k, j)
+/// over the nprod (1 or 2) products. The pair kernel carries two
+/// accumulators per k-step, so its bound is the single-product one doubled.
 template <typename T>
-bool tile_checksum_ok(const T* tile, index_t mr, index_t nr, index_t kc, const T* bp,
-                      T alpha, const double* sa, const double* sa_abs) {
+bool tile_checksum_ok(const T* tile, index_t mr, index_t nr, index_t kc, int nprod,
+                      const T* const* bp, T alpha, const double* const* sa,
+                      const double* const* sa_abs) {
   const double al = static_cast<double>(alpha);
   const double al_abs = std::abs(al);
-  for (index_t jj = 0; jj < nr; ++jj) {
-    double expect = 0.0;
-    double scale = 0.0;
-    for (index_t k = 0; k < kc; ++k) {
-      const double bv = static_cast<double>(bp[k * kNR + jj]);
-      expect += sa[k] * bv;
-      scale += sa_abs[k] * std::abs(bv);
+  for (index_t g = 0; g * kAbftRows < mr; ++g) {
+    const index_t r0 = g * kAbftRows;
+    const index_t r1 = std::min(mr, r0 + kAbftRows);
+    for (index_t jj = 0; jj < nr; ++jj) {
+      double expect = 0.0;
+      double scale = 0.0;
+      for (int s = 0; s < nprod; ++s) {
+        const double* sg = sa[s] + g * kc;
+        const double* sgabs = sa_abs[s] + g * kc;
+        for (index_t k = 0; k < kc; ++k) {
+          const double bv = static_cast<double>(bp[s][k * kNR + jj]);
+          expect += sg[k] * bv;
+          scale += sgabs[k] * std::abs(bv);
+        }
+      }
+      expect *= al;
+      scale *= al_abs;
+      double actual = 0.0;
+      const T* tcol = tile + jj * kMR;
+      for (index_t ii = r0; ii < r1; ++ii) actual += static_cast<double>(tcol[ii]);
+      if (std::abs(actual - expect) > nprod * abft_tolerance<T>(kc, scale)) return false;
     }
-    expect *= al;
-    scale *= al_abs;
-    double actual = 0.0;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) actual += static_cast<double>(tcol[ii]);
-    if (std::abs(actual - expect) > abft_tolerance<T>(kc, scale)) return false;
-  }
-  return true;
-}
-
-/// Pair-kernel variant: tile holds fl(alpha*(acc1+acc2)), so the expected
-/// column sum combines both products' checksums.
-template <typename T>
-bool tile_checksum_ok_pair(const T* tile, index_t mr, index_t nr, index_t kc,
-                           const T* bp1, const T* bp2, T alpha, const double* sa1,
-                           const double* sa1_abs, const double* sa2,
-                           const double* sa2_abs) {
-  const double al = static_cast<double>(alpha);
-  const double al_abs = std::abs(al);
-  for (index_t jj = 0; jj < nr; ++jj) {
-    double expect = 0.0;
-    double scale = 0.0;
-    for (index_t k = 0; k < kc; ++k) {
-      const double b1 = static_cast<double>(bp1[k * kNR + jj]);
-      const double b2 = static_cast<double>(bp2[k * kNR + jj]);
-      expect += sa1[k] * b1 + sa2[k] * b2;
-      scale += sa1_abs[k] * std::abs(b1) + sa2_abs[k] * std::abs(b2);
-    }
-    expect *= al;
-    scale *= al_abs;
-    double actual = 0.0;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) actual += static_cast<double>(tcol[ii]);
-    // The pair kernel carries two accumulators per k-step, so double the
-    // single-product accumulation bound.
-    if (std::abs(actual - expect) > 2.0 * abft_tolerance<T>(kc, scale)) return false;
   }
   return true;
 }
@@ -269,10 +263,9 @@ bool tile_checksum_ok_pair(const T* tile, index_t mr, index_t nr, index_t kc,
 // A PackTransform may expose, next to its per-element operator(), a batch
 // form `f.apply(src, dst, n)` (or `split.apply(src, head, tail, n)`) that
 // maps a contiguous run in one call — the Tensor Core rounding transforms
-// vectorize theirs (src/tensorcore/tc_convert.hpp). Packing feeds it every
-// contiguous source run it walks; strided destinations go through a small
-// aligned stack staging buffer (the source read is still one contiguous
-// sweep, which is where the vector win is).
+// vectorize theirs (src/tensorcore/tc_convert.hpp). Packing gathers each
+// panel raw and then runs the batch form once, in place, over the whole
+// panel: one call per kMR*kc (or kNR*kc) elements instead of one per row.
 
 template <typename F, typename T, typename = void>
 struct HasBatchApply : std::false_type {};
@@ -290,428 +283,401 @@ struct HasBatchSplit<F, T,
                          std::declval<const T*>(), std::declval<T*>(), std::declval<T*>(),
                          index_t{}))>> : std::true_type {};
 
-/// op(A)(i0:i0+mc, k0:k0+kc) -> MR-row panels, k-major, f applied per element.
-/// TA=false reads columns of A contiguously; TA=true walks columns of A as
-/// rows of op(A) (lane-outer, k-inner) so the source reads stay contiguous.
+template <typename F, typename = void>
+struct HasFp16Values : std::false_type {};
+template <typename F>
+struct HasFp16Values<F, std::void_t<decltype(std::declval<const F&>().fp16_values())>>
+    : std::true_type {};
+
+/// True when every value `f` produces is an fp16 value (see the
+/// PackTransform contract on IdentityTransform).
+template <typename F>
+bool yields_fp16(const F& f) {
+  if constexpr (HasFp16Values<F>::value)
+    return f.fp16_values();
+  else
+    return false;
+}
+
+/// The per-element map applied while gathering: the identity when the
+/// transform's batch form runs over the gathered panel afterwards.
+template <typename F, typename T>
+inline T gather_map(const F& f, T v) {
+  if constexpr (HasBatchApply<F, T>::value)
+    return v;
+  else
+    return f(v);
+}
+
+template <typename F, typename T>
+inline void finish_panel(const F& f, T* panel, index_t n) {
+  if constexpr (HasBatchApply<F, T>::value) f.apply(panel, panel, n);
+}
+
+/// op(A)(i0:i0+mc, k0:k0+kc) -> MR-row panels, k-major, f applied per
+/// element; panel p lands at buf + p * kMR * kc. TA=false reads columns of A
+/// contiguously; TA=true walks columns of A as rows of op(A) (lane-outer,
+/// k-inner) so the source reads stay contiguous.
 template <bool TA, typename T, typename F>
 void pack_a_block(ConstMatrixView<T> a, index_t i0, index_t k0, index_t mc, index_t kc,
                   T* buf, const F& f) {
   for (index_t p = 0; p < mc; p += kMR) {
     const index_t mr = std::min(kMR, mc - p);
+    T* panel = buf + p * kc;
     if constexpr (!TA) {
       for (index_t k = 0; k < kc; ++k) {
         const T* col = &a(i0 + p, k0 + k);
-        T* dst = buf + k * kMR;
-        if constexpr (HasBatchApply<F, T>::value) {
-          f.apply(col, dst, mr);
-        } else {
-          for (index_t r = 0; r < mr; ++r) dst[r] = f(col[r]);
-        }
+        T* dst = panel + k * kMR;
+        for (index_t r = 0; r < mr; ++r) dst[r] = gather_map(f, col[r]);
         for (index_t r = mr; r < kMR; ++r) dst[r] = T{};
       }
     } else {
       for (index_t r = 0; r < mr; ++r) {
         const T* col = &a(k0, i0 + p + r);  // column of A == row of op(A)
-        if constexpr (HasBatchApply<F, T>::value) {
-          alignas(kKernelAlignment) T tmp[kKC];
-          f.apply(col, tmp, kc);
-          for (index_t k = 0; k < kc; ++k) buf[k * kMR + r] = tmp[k];
-        } else {
-          for (index_t k = 0; k < kc; ++k) buf[k * kMR + r] = f(col[k]);
-        }
+        for (index_t k = 0; k < kc; ++k) panel[k * kMR + r] = gather_map(f, col[k]);
       }
       for (index_t r = mr; r < kMR; ++r)
-        for (index_t k = 0; k < kc; ++k) buf[k * kMR + r] = T{};
+        for (index_t k = 0; k < kc; ++k) panel[k * kMR + r] = T{};
     }
-    buf += kMR * kc;
+    finish_panel(f, panel, kMR * kc);
   }
 }
 
-/// op(B)(k0:k0+kc, j0:j0+nc) -> NR-column panels, k-major, f applied per
-/// element. TB=true reads rows of op(B) as columns of B contiguously.
+/// Gather op(B)(k0:k0+kc, j0:j0+nc) raw into NR-column panels, k-major,
+/// mapping each element through map(v); panel q lands at buf + q * kNR * kc.
+/// TB=true reads rows of op(B) as columns of B contiguously.
+template <bool TB, typename T, typename Map>
+void gather_b_block(ConstMatrixView<T> b, index_t k0, index_t j0, index_t kc, index_t nc,
+                    T* buf, const Map& map) {
+  for (index_t q = 0; q < nc; q += kNR) {
+    const index_t nr = std::min(kNR, nc - q);
+    T* panel = buf + q * kc;
+    if constexpr (!TB) {
+      for (index_t cidx = 0; cidx < nr; ++cidx) {
+        const T* col = &b(k0, j0 + q + cidx);
+        for (index_t k = 0; k < kc; ++k) panel[k * kNR + cidx] = map(col[k]);
+      }
+      for (index_t cidx = nr; cidx < kNR; ++cidx)
+        for (index_t k = 0; k < kc; ++k) panel[k * kNR + cidx] = T{};
+    } else {
+      for (index_t k = 0; k < kc; ++k) {
+        const T* col = &b(j0 + q, k0 + k);  // column of B == row of op(B)
+        T* dst = panel + k * kNR;
+        for (index_t cidx = 0; cidx < nr; ++cidx) dst[cidx] = map(col[cidx]);
+        for (index_t cidx = nr; cidx < kNR; ++cidx) dst[cidx] = T{};
+      }
+    }
+  }
+}
+
+/// op(B)(k0:k0+kc, j0:j0+nc) -> NR-column panels with f applied per element.
 template <bool TB, typename T, typename F>
 void pack_b_block(ConstMatrixView<T> b, index_t k0, index_t j0, index_t kc, index_t nc,
                   T* buf, const F& f) {
-  for (index_t q = 0; q < nc; q += kNR) {
-    const index_t nr = std::min(kNR, nc - q);
-    if constexpr (!TB && HasBatchApply<F, T>::value) {
-      // Columns of B are contiguous along k: transform each whole column into
-      // a staging buffer, then scatter into the k-major panel.
-      for (index_t cidx = 0; cidx < nr; ++cidx) {
-        alignas(kKernelAlignment) T tmp[kKC];
-        f.apply(&b(k0, j0 + q + cidx), tmp, kc);
-        for (index_t k = 0; k < kc; ++k) buf[k * kNR + cidx] = tmp[k];
-      }
-      for (index_t cidx = nr; cidx < kNR; ++cidx)
-        for (index_t k = 0; k < kc; ++k) buf[k * kNR + cidx] = T{};
-    } else {
-      for (index_t k = 0; k < kc; ++k) {
-        T* dst = buf + k * kNR;
-        index_t cidx = 0;
-        if constexpr (!TB) {
-          for (; cidx < nr; ++cidx) dst[cidx] = f(b(k0 + k, j0 + q + cidx));
-        } else if constexpr (HasBatchApply<F, T>::value) {
-          f.apply(&b(j0 + q, k0 + k), dst, nr);  // column of B == row of op(B)
-          cidx = nr;
-        } else {
-          const T* col = &b(j0 + q, k0 + k);  // column of B == row of op(B)
-          for (; cidx < nr; ++cidx) dst[cidx] = f(col[cidx]);
-        }
-        for (; cidx < kNR; ++cidx) dst[cidx] = T{};
-      }
-    }
-    buf += kNR * kc;
-  }
+  gather_b_block<TB>(b, k0, j0, kc, nc, buf, [&f](T v) { return gather_map(f, v); });
+  const index_t npanels = (nc + kNR - 1) / kNR;
+  finish_panel(f, buf, npanels * kNR * kc);
 }
 
 /// Dual-output B pack: one pass over op(B) fills a head panel and a tail
 /// panel via split(v, head, tail). This is the EC-TC fusion — the head/tail
 /// decomposition is computed once per source element instead of once per
-/// materialized copy.
+/// materialized copy. The batch form splits the gathered head panels in
+/// place (split.apply tolerates src == head).
 template <bool TB, typename T, typename F>
 void pack_b_block_split(ConstMatrixView<T> b, index_t k0, index_t j0, index_t kc,
                         index_t nc, T* bufh, T* buft, const F& split) {
-  for (index_t q = 0; q < nc; q += kNR) {
-    const index_t nr = std::min(kNR, nc - q);
-    if constexpr (!TB && HasBatchSplit<F, T>::value) {
-      for (index_t cidx = 0; cidx < nr; ++cidx) {
-        alignas(kKernelAlignment) T tmph[kKC];
-        alignas(kKernelAlignment) T tmpt[kKC];
-        split.apply(&b(k0, j0 + q + cidx), tmph, tmpt, kc);
-        for (index_t k = 0; k < kc; ++k) {
-          bufh[k * kNR + cidx] = tmph[k];
-          buft[k * kNR + cidx] = tmpt[k];
-        }
-      }
-      for (index_t cidx = nr; cidx < kNR; ++cidx)
-        for (index_t k = 0; k < kc; ++k) {
-          bufh[k * kNR + cidx] = T{};
-          buft[k * kNR + cidx] = T{};
-        }
+  const index_t nelem = (nc + kNR - 1) / kNR * kNR * kc;
+  if constexpr (HasBatchSplit<F, T>::value) {
+    gather_b_block<TB>(b, k0, j0, kc, nc, bufh, [](T v) { return v; });
+    split.apply(bufh, bufh, buft, nelem);
+  } else {
+    gather_b_block<TB>(b, k0, j0, kc, nc, bufh, [](T v) { return v; });
+    for (index_t i = 0; i < nelem; ++i) {
+      const T v = bufh[i];
+      split(v, bufh[i], buft[i]);
+    }
+  }
+}
+
+// --- Micro-kernel selection ------------------------------------------------
+
+template <typename T>
+using KernelFn = void (*)(index_t, const T*, const T*, T, T*, index_t, index_t, index_t);
+template <typename T>
+using PairKernelFn = void (*)(index_t, const T*, const T*, const T*, const T*, T, T*,
+                              index_t, index_t, index_t);
+
+/// The micro-kernels one GEMM call runs, resolved once on the calling thread
+/// so every lane uses the same family. float/double route through the
+/// runtime-dispatched table (bitwise twins of the scalar reference; the
+/// fp16-operand entries when both operands are fp16 values); null table
+/// entries and other types run the scalar reference.
+template <typename T>
+struct Kernels {
+  KernelFn<T> plain = &micro_kernel_scalar<T>;
+  PairKernelFn<T> pair = &micro_kernel_pair_scalar<T>;
+};
+
+template <typename T>
+Kernels<T> select_kernels(bool fp16_operands) {
+  Kernels<T> out;
+  const simd::KernelTable& kt = simd::active_kernels();
+  if constexpr (std::is_same_v<T, float>) {
+    if (const auto fn = fp16_operands ? kt.gemm_f32_fp16 : kt.gemm_f32) out.plain = fn;
+    if (const auto fn = fp16_operands ? kt.gemm_pair_f32_fp16 : kt.gemm_pair_f32)
+      out.pair = fn;
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (kt.gemm_f64 != nullptr) out.plain = kt.gemm_f64;
+    if (kt.gemm_pair_f64 != nullptr) out.pair = kt.gemm_pair_f64;
+  }
+  return out;
+}
+
+// --- The blocked driver ----------------------------------------------------
+
+/// What one GEMM call computes per micro-tile:
+///   Plain:  C0 += alpha * A·B
+///   SplitB: C0 += A·Bhead and C1 += A·Btail (EC-TC first sweep, one A pack)
+///   Pair:   C0 += alpha * (A1·B1 + A2·B2) (paired kernel, tc_syr2k)
+enum class Flavor { Plain, SplitB, Pair };
+
+/// One GEMM call's operands plus the per-(j0, k0) block state the lanes
+/// share. Lives on the caller's stack; try_broadcast blocks until every lane
+/// returns, and its handshake orders the caller's writes before the lanes'
+/// reads.
+template <Flavor FL, bool TA, bool TB, typename T, typename FA, typename FB>
+struct GemmJob {
+  using value_type = T;
+  static constexpr int kProducts = FL == Flavor::Pair ? 2 : 1;
+  static constexpr int kBOperands = FL == Flavor::Plain ? 1 : 2;
+
+  // Operands (a2/b2: the Pair flavor's second product; fb is the split
+  // transform for SplitB).
+  ConstMatrixView<T> a1, a2, b1, b2;
+  const FA* fa = nullptr;
+  const FB* fb = nullptr;
+  T alpha{1};
+  MatrixView<T> c0, c1;
+  index_t m = 0;
+  Kernels<T> kern;
+  abft::CallStats* stats = nullptr;
+  T* bshared[2] = {nullptr, nullptr};
+  T* aslots = nullptr;           // 2 * kApanelElems per lane
+  double* sum_slots = nullptr;   // 4 * kAcsumElems per lane (ABFT only)
+
+  // Current block and its work decomposition.
+  index_t j0 = 0, nc = 0, k0 = 0, kc = 0;
+  index_t nbpanels = 0, bchunk = 1, nbchunks = 0;
+  index_t mslice = kMC, munits = 0, npu = 0, nunits = 0;
+  std::atomic<index_t> b_next{0}, b_done{0};
+  std::atomic<long> u_next{0};
+
+  /// Set up block (j0, k0) for `lanes` participants. B is packed in about
+  /// two chunks per lane; A is cut into ic slices of at most kMC rows, about
+  /// one per lane when m is small, and when there are still fewer slices
+  /// than lanes the block's B panels are split across units as well.
+  void begin_block(index_t bj0, index_t bnc, index_t bk0, index_t bkc, long lanes) {
+    j0 = bj0;
+    nc = bnc;
+    k0 = bk0;
+    kc = bkc;
+    nbpanels = (nc + kNR - 1) / kNR;
+    const index_t want_chunks = lanes > 1 ? std::min<index_t>(nbpanels, 2 * lanes) : 1;
+    bchunk = (nbpanels + want_chunks - 1) / want_chunks;
+    nbchunks = (nbpanels + bchunk - 1) / bchunk;
+    const index_t mpanels = (m + kMR - 1) / kMR;
+    const index_t per_lane = (mpanels + lanes - 1) / lanes;
+    const index_t slice_panels = std::min<index_t>(kMC / kMR, std::max<index_t>(per_lane, 1));
+    mslice = slice_panels * kMR;
+    munits = (mpanels + slice_panels - 1) / slice_panels;
+    nunits = 1;
+    if (munits < lanes) nunits = std::min<index_t>(nbpanels, (lanes + munits - 1) / munits);
+    npu = (nbpanels + nunits - 1) / nunits;
+    nunits = (nbpanels + npu - 1) / npu;
+    b_next.store(0, std::memory_order_relaxed);
+    b_done.store(0, std::memory_order_relaxed);
+    u_next.store(0, std::memory_order_relaxed);
+  }
+
+  /// Micro-tiles of the current block (the ABFT `checked` accounting unit).
+  long block_tiles() const noexcept {
+    return static_cast<long>((m + kMR - 1) / kMR) * nbpanels *
+           (FL == Flavor::SplitB ? 2 : 1);
+  }
+
+  void pack_b_chunk(index_t col0, index_t ncols) {
+    T* d0 = bshared[0] + col0 * kc;
+    if constexpr (FL == Flavor::SplitB) {
+      pack_b_block_split<TB>(b1, k0, j0 + col0, kc, ncols, d0, bshared[1] + col0 * kc, *fb);
     } else {
-      for (index_t k = 0; k < kc; ++k) {
-        T* dh = bufh + k * kNR;
-        T* dt = buft + k * kNR;
-        index_t cidx = 0;
-        if constexpr (!TB) {
-          for (; cidx < nr; ++cidx) split(b(k0 + k, j0 + q + cidx), dh[cidx], dt[cidx]);
-        } else if constexpr (HasBatchSplit<F, T>::value) {
-          split.apply(&b(j0 + q, k0 + k), dh, dt, nr);
-          cidx = nr;
-        } else {
-          const T* col = &b(j0 + q, k0 + k);
-          for (; cidx < nr; ++cidx) split(col[cidx], dh[cidx], dt[cidx]);
+      pack_b_block<TB>(b1, k0, j0 + col0, kc, ncols, d0, *fb);
+      if constexpr (FL == Flavor::Pair)
+        pack_b_block<TB>(b2, k0, j0 + col0, kc, ncols, bshared[1] + col0 * kc, *fb);
+    }
+  }
+
+  /// Pack the kMR-row panel of op(A) starting at row i0 (mr live rows)
+  /// into the lane's slot.
+  void pack_a_panel(index_t i0, index_t mr, T* slot, const T** ap) {
+    pack_a_block<TA>(a1, i0, k0, mr, kc, slot, *fa);
+    ap[0] = slot;
+    if constexpr (FL == Flavor::Pair) {
+      pack_a_block<TA>(a2, i0, k0, mr, kc, slot + kApanelElems, *fa);
+      ap[1] = slot + kApanelElems;
+    }
+  }
+
+  /// Direct tile: the micro-kernel adds into C. The injected corruption
+  /// lands after it: with ABFT off nothing checks the tile, and the bad
+  /// value flows into the result (exactly the silent fault the end-to-end
+  /// verification tier exists to catch).
+  void tile(const T* const* ap, const T* const* bp, index_t gi, index_t gj, index_t mr,
+            index_t nr) {
+    T* cc0 = &c0(gi, gj);
+    if constexpr (FL == Flavor::Plain) {
+      kern.plain(kc, ap[0], bp[0], alpha, cc0, c0.ld(), mr, nr);
+    } else if constexpr (FL == Flavor::SplitB) {
+      kern.plain(kc, ap[0], bp[0], T{1}, cc0, c0.ld(), mr, nr);
+      kern.plain(kc, ap[0], bp[1], T{1}, &c1(gi, gj), c1.ld(), mr, nr);
+    } else {
+      kern.pair(kc, ap[0], bp[0], ap[1], bp[1], alpha, cc0, c0.ld(), mr, nr);
+    }
+    if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(*cc0);
+  }
+
+  /// ABFT tile: each product is accumulated into a private kMR x kNR buffer
+  /// holding exactly fl(alpha*acc) — the value the direct tile would have
+  /// added to C — verified against the packed-A checksums, recomputed in
+  /// place on a mismatch (same packed panels, same accumulation order: the
+  /// recompute is bitwise the uncorrupted tile), and only then applied to C.
+  /// The injected gemm.tile_corrupt flip lands on the private tile after the
+  /// micro-kernel, modeling a corrupted C tile before anything downstream
+  /// consumed it.
+  void tile_abft(const T* const* ap, const T* const* bp, const double* const* sa,
+                 const double* const* sa_abs, index_t gi, index_t gj, index_t mr,
+                 index_t nr) {
+    constexpr int kOutputs = FL == Flavor::SplitB ? 2 : 1;
+    for (int s = 0; s < kOutputs; ++s) {
+      T buf[kNR * kMR] = {};
+      const auto run = [&] {
+        if constexpr (FL == Flavor::Pair)
+          kern.pair(kc, ap[0], bp[0], ap[1], bp[1], alpha, buf, kMR, mr, nr);
+        else
+          kern.plain(kc, ap[0], bp[s], FL == Flavor::Plain ? alpha : T{1}, buf, kMR, mr, nr);
+      };
+      run();
+      if (s == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(buf[0]);
+      const T* const* bps = FL == Flavor::Pair ? bp : bp + s;
+      if (!tile_checksum_ok(buf, mr, nr, kc, kProducts, bps,
+                            FL == Flavor::Plain || FL == Flavor::Pair ? alpha : T{1}, sa,
+                            sa_abs)) {
+        std::fill(buf, buf + kNR * kMR, T{});
+        run();
+        stats->record_detection(gi, gj);
+      }
+      MatrixView<T>& cv = s == 0 ? c0 : c1;
+      for (index_t jj = 0; jj < nr; ++jj) {
+        T* cc = &cv(gi, gj + jj);
+        const T* tcol = buf + jj * kMR;
+        for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
+      }
+    }
+  }
+
+  /// One participant's share of the current block (see the file comment);
+  /// `slot` (the broadcast index) picks the lane's scratch.
+  void lane(long slot) {
+    for (index_t c = b_next.fetch_add(1, std::memory_order_relaxed); c < nbchunks;
+         c = b_next.fetch_add(1, std::memory_order_relaxed)) {
+      const index_t col0 = c * bchunk * kNR;
+      pack_b_chunk(col0, std::min(nc, col0 + bchunk * kNR) - col0);
+      b_done.fetch_add(1, std::memory_order_release);
+    }
+    int backoff = 0;
+    while (b_done.load(std::memory_order_acquire) < nbchunks) spin_wait_hint(backoff);
+
+    T* aslot = aslots + slot * 2 * static_cast<long>(kApanelElems);
+    double* sums = sum_slots != nullptr ? sum_slots + slot * 4 * static_cast<long>(kAcsumElems)
+                                        : nullptr;
+    const long nwork = static_cast<long>(munits) * nunits;
+    for (long u = u_next.fetch_add(1, std::memory_order_relaxed); u < nwork;
+         u = u_next.fetch_add(1, std::memory_order_relaxed)) {
+      const index_t i0 = static_cast<index_t>(u / nunits) * mslice;
+      const index_t q0 = static_cast<index_t>(u % nunits) * npu;
+      const index_t q1 = std::min(nbpanels, q0 + npu);
+      const index_t i1 = std::min(m, i0 + mslice);
+      // One A micro-panel at a time (L1-resident) against the unit's B
+      // panels (L2-resident, shared).
+      for (index_t ir = i0; ir < i1; ir += kMR) {
+        const index_t mr = std::min(kMR, i1 - ir);
+        const T* ap[2] = {nullptr, nullptr};
+        pack_a_panel(ir, mr, aslot, ap);
+        const double* sa[2] = {nullptr, nullptr};
+        const double* sa_abs[2] = {nullptr, nullptr};
+        if (sums != nullptr) {
+          for (int p = 0; p < kProducts; ++p) {
+            double* s0 = sums + 2 * p * kAcsumElems;
+            compute_a_checksums(ap[p], kc, s0, s0 + kAcsumElems);
+            sa[p] = s0;
+            sa_abs[p] = s0 + kAcsumElems;
+          }
         }
-        for (; cidx < kNR; ++cidx) {
-          dh[cidx] = T{};
-          dt[cidx] = T{};
+        for (index_t q = q0; q < q1; ++q) {
+          const index_t jr = q * kNR;
+          const index_t nr = std::min(kNR, nc - jr);
+          const T* bp[2] = {bshared[0] + jr * kc,
+                            kBOperands == 2 ? bshared[1] + jr * kc : nullptr};
+          if (sums == nullptr)
+            tile(ap, bp, ir, j0 + jr, mr, nr);
+          else
+            tile_abft(ap, bp, sa, sa_abs, ir, j0 + jr, mr, nr);
         }
       }
     }
-    bufh += kNR * kc;
-    buft += kNR * kc;
   }
-}
-
-/// acc(MR x NR) += sum_k apanel(:, k) bpanel(k, :); then C += alpha * acc.
-/// Routes float/double through the runtime-dispatched kernel table (bitwise
-/// twins of the scalar reference); everything else runs the scalar reference
-/// directly.
-template <typename T>
-inline void micro_kernel(index_t kc, const T* ap, const T* bp, T alpha, T* c0, index_t ldc,
-                         index_t mr, index_t nr) {
-  if constexpr (std::is_same_v<T, float>) {
-    if (const auto fn = simd::active_kernels().gemm_f32) {
-      fn(kc, ap, bp, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (const auto fn = simd::active_kernels().gemm_f64) {
-      fn(kc, ap, bp, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  }
-  micro_kernel_scalar(kc, ap, bp, alpha, c0, ldc, mr, nr);
-}
-
-/// Paired variant (see micro_kernel_pair_scalar for the accumulation shape
-/// and the syr2k symmetry argument). Same dispatch rule as micro_kernel.
-template <typename T>
-inline void micro_kernel_pair(index_t kc, const T* ap1, const T* bp1, const T* ap2,
-                              const T* bp2, T alpha, T* c0, index_t ldc, index_t mr,
-                              index_t nr) {
-  if constexpr (std::is_same_v<T, float>) {
-    if (const auto fn = simd::active_kernels().gemm_pair_f32) {
-      fn(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, double>) {
-    if (const auto fn = simd::active_kernels().gemm_pair_f64) {
-      fn(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-      return;
-    }
-  }
-  micro_kernel_pair_scalar(kc, ap1, bp1, ap2, bp2, alpha, c0, ldc, mr, nr);
-}
-
-/// Fan `ntiles` independent bodies out on gemm_pool() when `pooled`, falling
-/// back to the calling thread when the pool is busy (another broadcast is in
-/// flight) or pooling is disabled. Returns true when the pool actually ran it.
-inline bool dispatch_tiles(long ntiles, bool pooled, void (*fn)(void*, long), void* ctx) {
-  if (pooled && gemm_pool().try_broadcast(ntiles, fn, ctx)) {
-    blas::detail::count_gemm_pool_dispatch();
-    return true;
-  }
-  for (long i = 0; i < ntiles; ++i) fn(ctx, i);
-  return false;
-}
-
-// Tile-loop contexts are transform-free plain structs: packing already ran on
-// the calling thread, workers only read packed panels and write disjoint C
-// tiles. Living on the caller's stack is safe — try_broadcast blocks until
-// every index completes.
-
-template <typename T>
-struct TileCtx {
-  const T* apack;
-  const T* bpack;
-  T alpha;
-  T* cbase;  // &c(i0, j0)
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
 };
 
-template <typename T>
-void run_tile(void* vctx, long idx) {
-  const auto* ctx = static_cast<const TileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
-  micro_kernel(ctx->kc, ap, bp, ctx->alpha, ctx->cbase + ir + jr * ctx->ldc, ctx->ldc, mr,
-               nr);
-  // Post-micro-kernel corruption injection: with ABFT off nothing checks the
-  // tile, and the bad value flows into the result (exactly the silent fault
-  // the end-to-end verification tier exists to catch).
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->cbase + ir + jr * ctx->ldc));
+template <class Job>
+void run_lane(void* job, long slot) {
+  static_cast<Job*>(job)->lane(slot);
 }
 
-/// Split-B tile: one A panel against head and tail B panels, into two
-/// disjoint accumulator matrices (c0 += A·Bh, c1 += A·Bt). Each accumulator's
-/// order matches its own standalone gemm exactly.
-template <typename T>
-struct SplitTileCtx {
-  const T* apack;
-  const T* bpackh;
-  const T* bpackt;
-  T* c0base;
-  index_t ldc0;
-  T* c1base;
-  index_t ldc1;
-  index_t mc, nc, kc;
-  index_t mtiles;
-};
-
-template <typename T>
-void run_split_tile(void* vctx, long idx) {
-  const auto* ctx = static_cast<const SplitTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const index_t poff = (jr / kNR) * ctx->kc * kNR;
-  micro_kernel(ctx->kc, ap, ctx->bpackh + poff, T{1},
-               ctx->c0base + ir + jr * ctx->ldc0, ctx->ldc0, mr, nr);
-  micro_kernel(ctx->kc, ap, ctx->bpackt + poff, T{1},
-               ctx->c1base + ir + jr * ctx->ldc1, ctx->ldc1, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->c0base + ir + jr * ctx->ldc0));
-}
-
-template <typename T>
-struct PairTileCtx {
-  const T* apack1;
-  const T* bpack1;
-  const T* apack2;
-  const T* bpack2;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-};
-
-template <typename T>
-void run_pair_tile(void* vctx, long idx) {
-  const auto* ctx = static_cast<const PairTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const index_t aoff = (ir / kMR) * ctx->kc * kMR;
-  const index_t boff = (jr / kNR) * ctx->kc * kNR;
-  micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff, ctx->apack2 + aoff,
-                    ctx->bpack2 + boff, ctx->alpha, ctx->cbase + ir + jr * ctx->ldc,
-                    ctx->ldc, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt))
-    corrupt_value(*(ctx->cbase + ir + jr * ctx->ldc));
-}
-
-// --- ABFT tile runners -----------------------------------------------------
-//
-// Each runner accumulates its tile into a private kMR x kNR buffer holding
-// exactly fl(alpha*acc) — the value the direct runner would have added to C —
-// verifies it against the packed-A checksum vector, recomputes in place on a
-// mismatch (same packed panels, same accumulation order: the recompute is
-// bitwise the uncorrupted tile), and only then applies it to C. The injected
-// gemm.tile_corrupt flip lands on the private tile after the micro-kernel,
-// modeling a corrupted C tile before anything downstream consumed it.
-
-template <typename T>
-struct AbftTileCtx {
-  const T* apack;
-  const T* bpack;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa;
-  const double* sa_abs;
-  index_t gi0, gj0;  ///< global C coordinates of this macro block
-  abft::CallStats* stats;
-};
-
-template <typename T>
-void run_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const T* bp = ctx->bpack + (jr / kNR) * ctx->kc * kNR;
-  const double* sa = ctx->sa + (ir / kMR) * ctx->kc;
-  const double* sa_abs = ctx->sa_abs + (ir / kMR) * ctx->kc;
-
-  T tile[kNR * kMR] = {};
-  micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-  if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bp, ctx->alpha, sa, sa_abs)) {
-    std::fill(tile, tile + kNR * kMR, T{});
-    micro_kernel(ctx->kc, ap, bp, ctx->alpha, tile, kMR, mr, nr);
-    ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
-  }
-  T* cc0 = ctx->cbase + ir + jr * ctx->ldc;
-  for (index_t jj = 0; jj < nr; ++jj) {
-    T* cc = cc0 + jj * ctx->ldc;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
-  }
-}
-
-template <typename T>
-struct AbftSplitTileCtx {
-  const T* apack;
-  const T* bpackh;
-  const T* bpackt;
-  T* c0base;
-  index_t ldc0;
-  T* c1base;
-  index_t ldc1;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa;
-  const double* sa_abs;
-  index_t gi0, gj0;
-  abft::CallStats* stats;
-};
-
-template <typename T>
-void run_split_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftSplitTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const T* ap = ctx->apack + (ir / kMR) * ctx->kc * kMR;
-  const index_t poff = (jr / kNR) * ctx->kc * kNR;
-  const double* sa = ctx->sa + (ir / kMR) * ctx->kc;
-  const double* sa_abs = ctx->sa_abs + (ir / kMR) * ctx->kc;
-
-  const T* bps[2] = {ctx->bpackh + poff, ctx->bpackt + poff};
-  T* cbases[2] = {ctx->c0base + ir + jr * ctx->ldc0, ctx->c1base + ir + jr * ctx->ldc1};
-  const index_t ldcs[2] = {ctx->ldc0, ctx->ldc1};
-  for (int s = 0; s < 2; ++s) {
-    T tile[kNR * kMR] = {};
-    micro_kernel(ctx->kc, ap, bps[s], T{1}, tile, kMR, mr, nr);
-    if (s == 0 && fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-    if (!tile_checksum_ok(tile, mr, nr, ctx->kc, bps[s], T{1}, sa, sa_abs)) {
-      std::fill(tile, tile + kNR * kMR, T{});
-      micro_kernel(ctx->kc, ap, bps[s], T{1}, tile, kMR, mr, nr);
-      ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
+/// Drive `job` over C (m x n) with inner dimension k: one broadcast per
+/// (j0, k0) block when the pool policy allows, the same lane body on the
+/// calling thread otherwise (or when the pool declines).
+template <class Job>
+void run_blocks(Job& job, index_t n, index_t k) {
+  CallerBuffers<typename Job::value_type>& bufs = caller_buffers<typename Job::value_type>();
+  const bool pooled = detail::use_gemm_pool(job.m, n, k);
+  const long lanes = pooled ? static_cast<long>(gemm_pool().size()) + 1 : 1;
+  const auto grow = [](auto& v, std::size_t need) {
+    if (v.size() < need) v.resize(need);
+  };
+  const std::size_t need_b = static_cast<std::size_t>(std::min(k, kKC)) *
+                             static_cast<std::size_t>((std::min(n, kNC) + kNR - 1) / kNR * kNR);
+  const auto grow_b = [&](AlignedVector<typename Job::value_type>& v) {
+    v.reserve(static_cast<std::size_t>(kKC) * kNC);  // no-op after the first call
+    grow(v, need_b);
+  };
+  grow_b(bufs.b);
+  if (Job::kBOperands == 2) grow_b(bufs.b2);
+  grow(bufs.a, static_cast<std::size_t>(lanes) * 2 * kApanelElems);
+  if (job.stats != nullptr) grow(bufs.sums, static_cast<std::size_t>(lanes) * 4 * kAcsumElems);
+  job.bshared[0] = bufs.b.data();
+  job.bshared[1] = bufs.b2.data();
+  job.aslots = bufs.a.data();
+  job.sum_slots = job.stats != nullptr ? bufs.sums.data() : nullptr;
+  for (index_t j0 = 0; j0 < n; j0 += kNC) {
+    const index_t nc = std::min(kNC, n - j0);
+    for (index_t k0 = 0; k0 < k; k0 += kKC) {
+      job.begin_block(j0, nc, k0, std::min(kKC, k - k0), lanes);
+      if (lanes > 1 && gemm_pool().try_broadcast(lanes, &run_lane<Job>, &job))
+        detail::count_gemm_pool_dispatch();
+      else
+        job.lane(0);
+      if (job.stats != nullptr) job.stats->checked += job.block_tiles();
     }
-    for (index_t jj = 0; jj < nr; ++jj) {
-      T* cc = cbases[s] + jj * ldcs[s];
-      const T* tcol = tile + jj * kMR;
-      for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
-    }
-  }
-}
-
-template <typename T>
-struct AbftPairTileCtx {
-  const T* apack1;
-  const T* bpack1;
-  const T* apack2;
-  const T* bpack2;
-  T alpha;
-  T* cbase;
-  index_t ldc;
-  index_t mc, nc, kc;
-  index_t mtiles;
-  const double* sa1;
-  const double* sa1_abs;
-  const double* sa2;
-  const double* sa2_abs;
-  index_t gi0, gj0;
-  abft::CallStats* stats;
-};
-
-template <typename T>
-void run_pair_tile_abft(void* vctx, long idx) {
-  const auto* ctx = static_cast<const AbftPairTileCtx<T>*>(vctx);
-  const index_t ir = (static_cast<index_t>(idx) % ctx->mtiles) * kMR;
-  const index_t jr = (static_cast<index_t>(idx) / ctx->mtiles) * kNR;
-  const index_t mr = std::min(kMR, ctx->mc - ir);
-  const index_t nr = std::min(kNR, ctx->nc - jr);
-  const index_t aoff = (ir / kMR) * ctx->kc * kMR;
-  const index_t boff = (jr / kNR) * ctx->kc * kNR;
-  const index_t soff = (ir / kMR) * ctx->kc;
-
-  T tile[kNR * kMR] = {};
-  micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff, ctx->apack2 + aoff,
-                    ctx->bpack2 + boff, ctx->alpha, tile, kMR, mr, nr);
-  if (fault::should_fire(fault::Site::GemmTileCorrupt)) corrupt_value(tile[0]);
-  if (!tile_checksum_ok_pair(tile, mr, nr, ctx->kc, ctx->bpack1 + boff,
-                             ctx->bpack2 + boff, ctx->alpha, ctx->sa1 + soff,
-                             ctx->sa1_abs + soff, ctx->sa2 + soff, ctx->sa2_abs + soff)) {
-    std::fill(tile, tile + kNR * kMR, T{});
-    micro_kernel_pair(ctx->kc, ctx->apack1 + aoff, ctx->bpack1 + boff,
-                      ctx->apack2 + aoff, ctx->bpack2 + boff, ctx->alpha, tile, kMR, mr,
-                      nr);
-    ctx->stats->record_detection(ctx->gi0 + ir, ctx->gj0 + jr);
-  }
-  T* cc0 = ctx->cbase + ir + jr * ctx->ldc;
-  for (index_t jj = 0; jj < nr; ++jj) {
-    T* cc = cc0 + jj * ctx->ldc;
-    const T* tcol = tile + jj * kMR;
-    for (index_t ii = 0; ii < mr; ++ii) cc[ii] += tcol[ii];
   }
 }
 
@@ -730,82 +696,95 @@ void prescale(T beta, MatrixView<T> c) {
   }
 }
 
-template <bool TA, bool TB, typename T, typename FA, typename FB>
-void gemm_packed_impl(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c,
-                      index_t m, index_t n, index_t k, const FA& fa, const FB& fb,
-                      abft::CallStats* abft_stats) {
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  const bool pooled = blas::detail::use_gemm_pool(m, n, k);
-  AbftBuffers* ab = abft_stats != nullptr ? &abft_buffers() : nullptr;
-
-  for (index_t j0 = 0; j0 < n; j0 += kNC) {
-    const index_t nc = std::min(kNC, n - j0);
-    for (index_t k0 = 0; k0 < k; k0 += kKC) {
-      const index_t kc = std::min(kKC, k - k0);
-      pack_b_block<TB>(b, k0, j0, kc, nc, bufs.b.data(), fb);
-      for (index_t i0 = 0; i0 < m; i0 += kMC) {
-        const index_t mc = std::min(kMC, m - i0);
-        pack_a_block<TA>(a, i0, k0, mc, kc, bufs.a.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
-        if (abft_stats == nullptr) {
-          TileCtx<T> ctx{bufs.a.data(), bufs.b.data(), alpha, &c(i0, j0), c.ld(),
-                         mc,            nc,            kc,    mtiles};
-          dispatch_tiles(ntiles, pooled, &run_tile<T>, &ctx);
-        } else {
-          compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(), ab->sa_abs.data());
-          AbftTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), alpha,
-                             &c(i0, j0),    c.ld(),        mc,
-                             nc,            kc,            mtiles,
-                             ab->sa.data(), ab->sa_abs.data(),
-                             i0,            j0,            abft_stats};
-          dispatch_tiles(ntiles, pooled, &run_tile_abft<T>, &ctx);
-          abft_stats->checked += ntiles;
-        }
-      }
-    }
-  }
+/// Call fn(bool_constant<TA>, bool_constant<TB>) for the runtime trans pair.
+template <typename Fn>
+void with_trans(Trans transa, Trans transb, Fn&& fn) {
+  using F = std::false_type;
+  using Y = std::true_type;
+  if (transa == Trans::No && transb == Trans::No)
+    fn(F{}, F{});
+  else if (transa == Trans::Yes && transb == Trans::No)
+    fn(Y{}, F{});
+  else if (transa == Trans::No && transb == Trans::Yes)
+    fn(F{}, Y{});
+  else
+    fn(Y{}, Y{});
 }
 
-template <bool TA, bool TB, typename T, typename FA, typename FSplit>
-void gemm_packed_split_b_impl(ConstMatrixView<T> a, ConstMatrixView<T> b, MatrixView<T> c0,
-                              MatrixView<T> c1, index_t m, index_t n, index_t k,
-                              const FA& fa, const FSplit& split,
-                              abft::CallStats* abft_stats) {
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  const bool pooled = blas::detail::use_gemm_pool(m, n, k);
-  AbftBuffers* ab = abft_stats != nullptr ? &abft_buffers() : nullptr;
+/// Shape check shared by the entry points; returns the inner dimension k.
+template <typename T>
+index_t checked_inner_dim(Trans transa, Trans transb, ConstMatrixView<T> a,
+                          ConstMatrixView<T> b, index_t m, index_t n) {
+  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
+  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
+  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
+  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
+  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
+  return ka;
+}
 
-  for (index_t j0 = 0; j0 < n; j0 += kNC) {
-    const index_t nc = std::min(kNC, n - j0);
-    for (index_t k0 = 0; k0 < k; k0 += kKC) {
-      const index_t kc = std::min(kKC, k - k0);
-      pack_b_block_split<TB>(b, k0, j0, kc, nc, bufs.b.data(), bufs.b2.data(), split);
-      for (index_t i0 = 0; i0 < m; i0 += kMC) {
-        const index_t mc = std::min(kMC, m - i0);
-        pack_a_block<TA>(a, i0, k0, mc, kc, bufs.a.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
-        if (abft_stats == nullptr) {
-          SplitTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.b2.data(),
-                              &c0(i0, j0),   c0.ld(),       &c1(i0, j0),
-                              c1.ld(),       mc,            nc,
-                              kc,            mtiles};
-          dispatch_tiles(ntiles, pooled, &run_split_tile<T>, &ctx);
-        } else {
-          compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(), ab->sa_abs.data());
-          AbftSplitTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.b2.data(),
-                                  &c0(i0, j0),   c0.ld(),       &c1(i0, j0),
-                                  c1.ld(),       mc,            nc,
-                                  kc,            mtiles,        ab->sa.data(),
-                                  ab->sa_abs.data(), i0,        j0,
-                                  abft_stats};
-          dispatch_tiles(ntiles, pooled, &run_split_tile_abft<T>, &ctx);
-          abft_stats->checked += 2 * ntiles;  // head and tail product per tile
-        }
-      }
-    }
-  }
+template <typename T, typename FA, typename FB>
+void gemm_packed_entry(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
+                       ConstMatrixView<T> b, T beta, MatrixView<T> c, const FA& fa,
+                       const FB& fb) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = checked_inner_dim(transa, transb, a, b, m, n);
+  if (m == 0 || n == 0) return;
+  prescale(beta, c);
+  if (k == 0 || alpha == T{}) return;
+  simd::detail::record_dispatch(simd::active_level());
+
+  abft::CallStats stats;
+  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
+  const Kernels<T> kern = select_kernels<T>(yields_fp16(fa) && yields_fp16(fb));
+  with_trans(transa, transb, [&](auto ta, auto tb) {
+    GemmJob<Flavor::Plain, decltype(ta)::value, decltype(tb)::value, T, FA, FB> job;
+    job.a1 = a;
+    job.b1 = b;
+    job.fa = &fa;
+    job.fb = &fb;
+    job.alpha = alpha;
+    job.c0 = c;
+    job.m = m;
+    job.kern = kern;
+    job.stats = sp;
+    run_blocks(job, n, k);
+  });
+  if (sp != nullptr) abft::finish_call(stats, "gemm");
+}
+
+template <typename T, typename FA, typename FSplit>
+void gemm_packed_split_b_entry(Trans transa, Trans transb, ConstMatrixView<T> a,
+                               ConstMatrixView<T> b, MatrixView<T> c0, MatrixView<T> c1,
+                               const FA& fa, const FSplit& split) {
+  const index_t m = c0.rows();
+  const index_t n = c0.cols();
+  const index_t k = checked_inner_dim(transa, transb, a, b, m, n);
+  TCEVD_CHECK(c1.rows() == m && c1.cols() == n, "split gemm accumulator shape mismatch");
+  if (m == 0 || n == 0) return;
+  prescale(T{}, c0);
+  prescale(T{}, c1);
+  if (k == 0) return;
+  simd::detail::record_dispatch(simd::active_level());
+
+  abft::CallStats stats;
+  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
+  const Kernels<T> kern = select_kernels<T>(yields_fp16(fa) && yields_fp16(split));
+  with_trans(transa, transb, [&](auto ta, auto tb) {
+    GemmJob<Flavor::SplitB, decltype(ta)::value, decltype(tb)::value, T, FA, FSplit> job;
+    job.a1 = a;
+    job.b1 = b;
+    job.fa = &fa;
+    job.fb = &split;
+    job.c0 = c0;
+    job.c1 = c1;
+    job.m = m;
+    job.kern = kern;
+    job.stats = sp;
+    run_blocks(job, n, k);
+  });
+  if (sp != nullptr) abft::finish_call(stats, "gemm.split_b");
 }
 
 }  // namespace packed
@@ -817,29 +796,7 @@ template <typename T, typename FA = IdentityTransform, typename FB = IdentityTra
 void gemm_packed(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c, const FA& fa = FA{},
                  const FB& fb = FB{}) {
-  const index_t m = c.rows();
-  const index_t n = c.cols();
-  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
-  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
-  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
-  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
-  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  if (m == 0 || n == 0) return;
-  packed::prescale(beta, c);
-  if (ka == 0 || alpha == T{}) return;
-  simd::detail::record_dispatch(simd::active_level());
-
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  if (transa == Trans::No && transb == Trans::No)
-    packed::gemm_packed_impl<false, false>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else if (transa == Trans::Yes && transb == Trans::No)
-    packed::gemm_packed_impl<true, false>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else if (transa == Trans::No && transb == Trans::Yes)
-    packed::gemm_packed_impl<false, true>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  else
-    packed::gemm_packed_impl<true, true>(alpha, a, b, c, m, n, ka, fa, fb, sp);
-  if (sp != nullptr) abft::finish_call(stats, "gemm");
+  packed::gemm_packed_entry(transa, transb, alpha, a, b, beta, c, fa, fb);
 }
 
 /// EC-TC first sweep: C0 = op(A)·head(op(B)) and C1 = op(A)·tail(op(B)) in
@@ -851,31 +808,7 @@ template <typename T, typename FA, typename FSplit>
 void gemm_packed_split_b(Trans transa, Trans transb, ConstMatrixView<T> a,
                          ConstMatrixView<T> b, MatrixView<T> c0, MatrixView<T> c1,
                          const FA& fa, const FSplit& split) {
-  const index_t m = c0.rows();
-  const index_t n = c0.cols();
-  const index_t ka = (transa == Trans::No) ? a.cols() : a.rows();
-  const index_t ma = (transa == Trans::No) ? a.rows() : a.cols();
-  const index_t kb = (transb == Trans::No) ? b.rows() : b.cols();
-  const index_t nb = (transb == Trans::No) ? b.cols() : b.rows();
-  TCEVD_CHECK(ma == m && nb == n && ka == kb, "gemm shape mismatch");
-  TCEVD_CHECK(c1.rows() == m && c1.cols() == n, "split gemm accumulator shape mismatch");
-  if (m == 0 || n == 0) return;
-  packed::prescale(T{}, c0);
-  packed::prescale(T{}, c1);
-  if (ka == 0) return;
-  simd::detail::record_dispatch(simd::active_level());
-
-  abft::CallStats stats;
-  abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  if (transa == Trans::No && transb == Trans::No)
-    packed::gemm_packed_split_b_impl<false, false>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else if (transa == Trans::Yes && transb == Trans::No)
-    packed::gemm_packed_split_b_impl<true, false>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else if (transa == Trans::No && transb == Trans::Yes)
-    packed::gemm_packed_split_b_impl<false, true>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  else
-    packed::gemm_packed_split_b_impl<true, true>(a, b, c0, c1, m, n, ka, fa, split, sp);
-  if (sp != nullptr) abft::finish_call(stats, "gemm.split_b");
+  packed::gemm_packed_split_b_entry(transa, transb, a, b, c0, c1, fa, split);
 }
 
 /// C += alpha * (A1·B1ᵀ + A2·B2ᵀ) with the paired micro-kernel (both
@@ -886,7 +819,6 @@ template <typename T, typename FA, typename FB>
 void gemm_packed_nt_pair(T alpha, ConstMatrixView<T> a1, ConstMatrixView<T> b1,
                          ConstMatrixView<T> a2, ConstMatrixView<T> b2, MatrixView<T> c,
                          const FA& fa, const FB& fb) {
-  using namespace packed;
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = a1.cols();
@@ -897,49 +829,21 @@ void gemm_packed_nt_pair(T alpha, ConstMatrixView<T> a1, ConstMatrixView<T> b1,
   if (m == 0 || n == 0 || k == 0 || alpha == T{}) return;
   simd::detail::record_dispatch(simd::active_level());
 
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  const bool pooled = blas::detail::use_gemm_pool(m, n, k);
   abft::CallStats stats;
   abft::CallStats* sp = abft::enabled() ? &stats : nullptr;
-  packed::AbftBuffers* ab = sp != nullptr ? &packed::abft_buffers() : nullptr;
-
-  for (index_t j0 = 0; j0 < n; j0 += kNC) {
-    const index_t nc = std::min(kNC, n - j0);
-    for (index_t k0 = 0; k0 < k; k0 += kKC) {
-      const index_t kc = std::min(kKC, k - k0);
-      pack_b_block<true>(b1, k0, j0, kc, nc, bufs.b.data(), fb);
-      pack_b_block<true>(b2, k0, j0, kc, nc, bufs.b2.data(), fb);
-      for (index_t i0 = 0; i0 < m; i0 += kMC) {
-        const index_t mc = std::min(kMC, m - i0);
-        pack_a_block<false>(a1, i0, k0, mc, kc, bufs.a.data(), fa);
-        pack_a_block<false>(a2, i0, k0, mc, kc, bufs.a2.data(), fa);
-        const index_t mtiles = (mc + kMR - 1) / kMR;
-        const long ntiles = static_cast<long>(mtiles) * ((nc + kNR - 1) / kNR);
-        if (sp == nullptr) {
-          PairTileCtx<T> ctx{bufs.a.data(), bufs.b.data(), bufs.a2.data(), bufs.b2.data(),
-                             alpha,         &c(i0, j0),    c.ld(),         mc,
-                             nc,            kc,            mtiles};
-          dispatch_tiles(ntiles, pooled, &run_pair_tile<T>, &ctx);
-        } else {
-          packed::compute_a_checksums(bufs.a.data(), mc, kc, ab->sa.data(),
-                                      ab->sa_abs.data());
-          packed::compute_a_checksums(bufs.a2.data(), mc, kc, ab->sa2.data(),
-                                      ab->sa2_abs.data());
-          packed::AbftPairTileCtx<T> ctx{bufs.a.data(),  bufs.b.data(),
-                                         bufs.a2.data(), bufs.b2.data(),
-                                         alpha,          &c(i0, j0),
-                                         c.ld(),         mc,
-                                         nc,             kc,
-                                         mtiles,         ab->sa.data(),
-                                         ab->sa_abs.data(), ab->sa2.data(),
-                                         ab->sa2_abs.data(), i0,
-                                         j0,             sp};
-          dispatch_tiles(ntiles, pooled, &packed::run_pair_tile_abft<T>, &ctx);
-          sp->checked += ntiles;
-        }
-      }
-    }
-  }
+  packed::GemmJob<packed::Flavor::Pair, false, true, T, FA, FB> job;
+  job.a1 = a1;
+  job.a2 = a2;
+  job.b1 = b1;
+  job.b2 = b2;
+  job.fa = &fa;
+  job.fb = &fb;
+  job.alpha = alpha;
+  job.c0 = c;
+  job.m = m;
+  job.kern = packed::select_kernels<T>(packed::yields_fp16(fa) && packed::yields_fp16(fb));
+  job.stats = sp;
+  packed::run_blocks(job, n, k);
   if (sp != nullptr) abft::finish_call(stats, "syr2k");
 }
 

@@ -1,6 +1,7 @@
 #include "src/blas/simd_dispatch.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -8,6 +9,7 @@
 #include "src/blas/gemm_microkernel_scalar.hpp"
 #include "src/blas/rot_kernel_scalar.hpp"
 #include "src/blas/simd_kernels_avx2.hpp"
+#include "src/blas/simd_kernels_avx512.hpp"
 #include "src/common/half.hpp"
 
 namespace tcevd {
@@ -24,7 +26,7 @@ struct Resolution {
 std::mutex g_resolve_mutex;
 Resolution g_resolution;
 std::atomic<bool> g_resolved{false};
-std::atomic<std::uint64_t> g_dispatch_counts[2] = {{0}, {0}};
+std::atomic<std::uint64_t> g_dispatch_counts[kLevels] = {{0}, {0}, {0}};
 std::atomic<int> g_scalar_force{0};
 
 // The all-null table active_kernels() returns while a ScalarKernelScope is
@@ -50,10 +52,21 @@ double lcg_f64(std::uint32_t& s) noexcept {
   return static_cast<double>((lcg_next(s) >> 8) & 0xffffu) / 16384.0 - 2.0;
 }
 
+// fp16 values across the whole binary16 range — subnormals from 2^-24 up to
+// normals near 2^15 — so products span [2^-48, 2^30] and exercise the
+// exact-product argument behind the fp16-operand (FMA) entries.
+float lcg_f16(std::uint32_t& s) noexcept {
+  const std::uint32_t r = lcg_next(s);
+  const int e = static_cast<int>((r >> 8) % 40u) - 24;
+  const float mant = 1.0f + static_cast<float>((r >> 16) & 0x3ffu) / 1024.0f;
+  const float v = std::ldexp(mant, e);
+  return round_to_half((r & 1u) != 0 ? -v : v);
+}
+
 constexpr index_t kProbeMaxKc = 64;
 constexpr index_t kProbeKcs[] = {1, 7, 64};
-constexpr index_t kProbeMrs[] = {1, 5, 8};
-constexpr index_t kProbeNrs[] = {1, 3, 8};
+constexpr index_t kProbeMrs[] = {1, 9, 16};
+constexpr index_t kProbeNrs[] = {1, 7, 9, 16};
 
 template <typename T>
 bool check_micro_kernels(void (*vec_plain)(index_t, const T*, const T*, T, T*, index_t,
@@ -101,7 +114,7 @@ bool check_micro_kernels(void (*vec_plain)(index_t, const T*, const T*, T, T*, i
   return true;
 }
 
-bool check_convert_kernels() {
+bool check_convert_kernels(const KernelTable& t) {
   // Specials first (fp16 boundaries, subnormal thresholds, inf, default
   // qNaN), then LCG patterns whose exponents sweep 2^-31 .. 2^16 so the
   // fp16 subnormal and overflow regions both get dense random coverage.
@@ -130,36 +143,31 @@ bool check_convert_kernels() {
   float ref_tail[kN];
   float vec_tail[kN];
   const float scale = 2048.0f;
+  float (*const rounds[2])(float) = {&round_to_half, &round_to_tf32};
+  const RoundBufferFn round_fns[2] = {t.round_fp16, t.round_tf32};
+  const EcSplitBufferFn split_fns[2] = {t.ec_split_fp16, t.ec_split_tf32};
 
-  for (index_t j = 0; j < kN; ++j) ref[j] = round_to_half(src[j]);
-  avx2::round_fp16_buffer(src, vec, kN);
-  if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
-  std::memcpy(vec, src, sizeof vec);  // in-place form
-  avx2::round_fp16_buffer(vec, vec, kN);
-  if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
+  for (int f = 0; f < 2; ++f) {
+    for (index_t j = 0; j < kN; ++j) ref[j] = rounds[f](src[j]);
+    round_fns[f](src, vec, kN);
+    if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
+    std::memcpy(vec, src, sizeof vec);  // in-place form
+    round_fns[f](vec, vec, kN);
+    if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
 
-  for (index_t j = 0; j < kN; ++j) ref[j] = round_to_tf32(src[j]);
-  avx2::round_tf32_buffer(src, vec, kN);
-  if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
-
-  for (index_t j = 0; j < kN; ++j) {
-    const float h = round_to_half(src[j]);
-    ref[j] = h;
-    ref_tail[j] = round_to_half(scale * (src[j] - h));
+    for (index_t j = 0; j < kN; ++j) {
+      const float h = rounds[f](src[j]);
+      ref[j] = h;
+      ref_tail[j] = rounds[f](scale * (src[j] - h));
+    }
+    split_fns[f](src, vec, vec_tail, kN, scale);
+    if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
+    if (std::memcmp(ref_tail, vec_tail, sizeof ref_tail) != 0) return false;
+    std::memcpy(vec, src, sizeof vec);  // head aliasing src, as packing uses it
+    split_fns[f](vec, vec, vec_tail, kN, scale);
+    if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
+    if (std::memcmp(ref_tail, vec_tail, sizeof ref_tail) != 0) return false;
   }
-  avx2::ec_split_fp16_buffer(src, vec, vec_tail, kN, scale);
-  if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
-  if (std::memcmp(ref_tail, vec_tail, sizeof ref_tail) != 0) return false;
-
-  for (index_t j = 0; j < kN; ++j) {
-    const float h = round_to_tf32(src[j]);
-    ref[j] = h;
-    ref_tail[j] = round_to_tf32(scale * (src[j] - h));
-  }
-  avx2::ec_split_tf32_buffer(src, vec, vec_tail, kN, scale);
-  if (std::memcmp(ref, vec, sizeof ref) != 0) return false;
-  if (std::memcmp(ref_tail, vec_tail, sizeof ref_tail) != 0) return false;
-
   return true;
 }
 
@@ -197,44 +205,85 @@ bool check_rot_sweep(RotSweepFn<T> vec, T (*draw)(std::uint32_t&)) {
   return true;
 }
 
-bool run_avx2_selfcheck() {
-  return check_micro_kernels<float>(&avx2::micro_kernel_f32, &avx2::micro_kernel_pair_f32,
-                                    &lcg_f32) &&
-         check_micro_kernels<double>(&avx2::micro_kernel_f64, &avx2::micro_kernel_pair_f64,
-                                     &lcg_f64) &&
-         check_convert_kernels() && check_rot_sweep<float>(&avx2::rot_sweep_f32, &lcg_f32) &&
-         check_rot_sweep<double>(&avx2::rot_sweep_f64, &lcg_f64);
+/// The bitwise self-check of one candidate table: every installed kernel
+/// against its scalar reference, the fp16-operand entries on fp16 data.
+bool selfcheck(const KernelTable& t) {
+  return check_micro_kernels<float>(t.gemm_f32, t.gemm_pair_f32, &lcg_f32) &&
+         check_micro_kernels<float>(t.gemm_f32_fp16, t.gemm_pair_f32_fp16, &lcg_f16) &&
+         check_micro_kernels<double>(t.gemm_f64, t.gemm_pair_f64, &lcg_f64) &&
+         check_convert_kernels(t) && check_rot_sweep<float>(t.rot_sweep_f32, &lcg_f32) &&
+         check_rot_sweep<double>(t.rot_sweep_f64, &lcg_f64);
 }
+
+KernelTable avx2_table() {
+  KernelTable t;
+  t.gemm_f32 = &avx2::micro_kernel_f32;
+  t.gemm_pair_f32 = &avx2::micro_kernel_pair_f32;
+  t.gemm_f32_fp16 = &avx2::micro_kernel_f32;
+  t.gemm_pair_f32_fp16 = &avx2::micro_kernel_pair_f32;
+  t.gemm_f64 = &avx2::micro_kernel_f64;
+  t.gemm_pair_f64 = &avx2::micro_kernel_pair_f64;
+  t.round_fp16 = &avx2::round_fp16_buffer;
+  t.round_tf32 = &avx2::round_tf32_buffer;
+  t.ec_split_fp16 = &avx2::ec_split_fp16_buffer;
+  t.ec_split_tf32 = &avx2::ec_split_tf32_buffer;
+  t.rot_sweep_f32 = &avx2::rot_sweep_f32;
+  t.rot_sweep_f64 = &avx2::rot_sweep_f64;
+  t.level = Level::Avx2;
+  t.name = "avx2";
+  return t;
+}
+
+#ifdef TCEVD_HAVE_AVX512
+// The AVX-512 family widens the GEMM and convert kernels and keeps the AVX2
+// rotation sweeps (the chase's column pairs are short; its own tier is not
+// part of this family).
+KernelTable avx512_table() {
+  KernelTable t = avx2_table();
+  t.gemm_f32 = &avx512::micro_kernel_f32;
+  t.gemm_pair_f32 = &avx512::micro_kernel_pair_f32;
+  t.gemm_f32_fp16 = &avx512::micro_kernel_f32_fp16;
+  t.gemm_pair_f32_fp16 = &avx512::micro_kernel_pair_f32_fp16;
+  t.gemm_f64 = &avx512::micro_kernel_f64;
+  t.gemm_pair_f64 = &avx512::micro_kernel_pair_f64;
+  t.round_fp16 = &avx512::round_fp16_buffer;
+  t.round_tf32 = &avx512::round_tf32_buffer;
+  t.ec_split_fp16 = &avx512::ec_split_fp16_buffer;
+  t.ec_split_tf32 = &avx512::ec_split_tf32_buffer;
+  t.level = Level::Avx512;
+  t.name = "avx512";
+  return t;
+}
+#endif  // TCEVD_HAVE_AVX512
 
 #endif  // TCEVD_HAVE_AVX2
 
+bool env_is(const char* env, const char* value) {
+  return env != nullptr && std::strcmp(env, value) == 0;
+}
+
 Resolution resolve_now() {
   const char* env = std::getenv("TCEVD_SIMD");
-  const bool cpu = cpu_supports_avx2();
-  bool selfcheck_ok = false;
-  const bool env_forces_scalar =
-      env != nullptr && (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0);
+  detail::FamilySupport avx2{compiled_with_avx2(), cpu_supports_avx2(), false};
+  detail::FamilySupport avx512{compiled_with_avx512(), cpu_supports_avx512(), false};
+  const bool off = env_is(env, "off") || env_is(env, "scalar");
+  // Self-check only the families the policy may pick: the widest first, the
+  // AVX2 family when it is requested or the wider one is out.
+#ifdef TCEVD_HAVE_AVX512
+  if (!off && !env_is(env, "avx2") && avx512.compiled && avx512.cpu)
+    avx512.selfcheck_ok = selfcheck(avx512_table());
+#endif
 #ifdef TCEVD_HAVE_AVX2
-  if (cpu && !env_forces_scalar) selfcheck_ok = run_avx2_selfcheck();
-#else
-  (void)env_forces_scalar;
+  if (!off && avx2.compiled && avx2.cpu && (env_is(env, "avx2") || !avx512.usable()))
+    avx2.selfcheck_ok = selfcheck(avx2_table());
 #endif
   Resolution r;
-  r.table.level = detail::resolve_level(env, cpu, selfcheck_ok, &r.reason);
+  const Level level = detail::resolve_level(env, avx2, avx512, &r.reason);
 #ifdef TCEVD_HAVE_AVX2
-  if (r.table.level == Level::Avx2) {
-    r.table.gemm_f32 = &avx2::micro_kernel_f32;
-    r.table.gemm_pair_f32 = &avx2::micro_kernel_pair_f32;
-    r.table.gemm_f64 = &avx2::micro_kernel_f64;
-    r.table.gemm_pair_f64 = &avx2::micro_kernel_pair_f64;
-    r.table.round_fp16 = &avx2::round_fp16_buffer;
-    r.table.round_tf32 = &avx2::round_tf32_buffer;
-    r.table.ec_split_fp16 = &avx2::ec_split_fp16_buffer;
-    r.table.ec_split_tf32 = &avx2::ec_split_tf32_buffer;
-    r.table.rot_sweep_f32 = &avx2::rot_sweep_f32;
-    r.table.rot_sweep_f64 = &avx2::rot_sweep_f64;
-    r.table.name = "avx2";
-  }
+  if (level == Level::Avx2) r.table = avx2_table();
+#endif
+#ifdef TCEVD_HAVE_AVX512
+  if (level == Level::Avx512) r.table = avx512_table();
 #endif
   return r;
 }
@@ -283,6 +332,23 @@ bool compiled_with_avx2() noexcept {
 #endif
 }
 
+bool cpu_supports_avx512() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return cpu_supports_avx2() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+bool compiled_with_avx512() noexcept {
+#ifdef TCEVD_HAVE_AVX512
+  return true;
+#else
+  return false;
+#endif
+}
+
 std::uint64_t dispatch_count(Level level) noexcept {
   return g_dispatch_counts[static_cast<int>(level)].load(std::memory_order_relaxed);
 }
@@ -301,24 +367,26 @@ bool scalar_kernels_forced() noexcept {
 
 namespace detail {
 
-Level resolve_level(const char* env_value, bool cpu_avx2, bool selfcheck_ok,
-                    const char** reason) noexcept {
-  const bool compiled = compiled_with_avx2();
+Level resolve_level(const char* env_value, const FamilySupport& avx2,
+                    const FamilySupport& avx512, const char** reason) noexcept {
   if (env_value != nullptr && *env_value != '\0') {
     if (std::strcmp(env_value, "off") == 0 || std::strcmp(env_value, "scalar") == 0) {
       *reason = "TCEVD_SIMD=off";
       return Level::Scalar;
     }
+    // An explicit AVX2 request (the one way to run that family on an AVX-512
+    // host) is honoured only when compiled in, supported and self-checked;
+    // otherwise the process runs the scalar reference and says why.
     if (std::strcmp(env_value, "avx2") == 0) {
-      if (!compiled) {
+      if (!avx2.compiled) {
         *reason = "TCEVD_SIMD=avx2 but binary built without the AVX2 family";
         return Level::Scalar;
       }
-      if (!cpu_avx2) {
+      if (!avx2.cpu) {
         *reason = "TCEVD_SIMD=avx2 but CPU lacks AVX2+F16C";
         return Level::Scalar;
       }
-      if (!selfcheck_ok) {
+      if (!avx2.selfcheck_ok) {
         *reason = "TCEVD_SIMD=avx2 but the bitwise self-check failed";
         return Level::Scalar;
       }
@@ -329,24 +397,27 @@ Level resolve_level(const char* env_value, bool cpu_avx2, bool selfcheck_ok,
       // Unrecognized value: fall through to auto-detection rather than
       // silently changing numerics-relevant behaviour on a typo.
       *reason = "unrecognized TCEVD_SIMD value; auto-detected";
-      if (compiled && cpu_avx2 && selfcheck_ok) return Level::Avx2;
+      if (avx512.usable()) return Level::Avx512;
+      if (avx2.usable()) return Level::Avx2;
       return Level::Scalar;
     }
   }
-  if (!compiled) {
+  if (avx512.usable()) {
+    *reason = "auto-detected AVX-512 (bitwise self-check passed)";
+    return Level::Avx512;
+  }
+  if (avx2.usable()) {
+    *reason = "auto-detected AVX2 (bitwise self-check passed)";
+    return Level::Avx2;
+  }
+  if (!avx2.compiled) {
     *reason = "binary built without the AVX2 family";
-    return Level::Scalar;
-  }
-  if (!cpu_avx2) {
+  } else if (!avx2.cpu) {
     *reason = "CPU lacks AVX2+F16C";
-    return Level::Scalar;
-  }
-  if (!selfcheck_ok) {
+  } else {
     *reason = "bitwise self-check failed; pinned to scalar reference";
-    return Level::Scalar;
   }
-  *reason = "auto-detected AVX2 (bitwise self-check passed)";
-  return Level::Avx2;
+  return Level::Scalar;
 }
 
 void record_dispatch(Level level) noexcept {

@@ -5,8 +5,12 @@
 // Resolution happens once, at first use, in three steps:
 //
 //   1. env override: TCEVD_SIMD=off|scalar forces the scalar reference;
-//      TCEVD_SIMD=avx2 requests the AVX2 family; unset/auto auto-detects.
-//   2. cpuid probe: the AVX2 family needs AVX2 + F16C (fp16 converts).
+//      TCEVD_SIMD=avx2 requests the AVX2 family (also on an AVX-512 host);
+//      unset/auto picks the widest family that is compiled in, supported
+//      and self-checked.
+//   2. cpuid probe: the AVX2 family needs AVX2 + F16C (fp16 converts); the
+//      AVX-512 family needs AVX-512F + FMA on top (it reuses the AVX2
+//      rotation sweeps).
 //   3. bitwise self-check: before a vector kernel table is installed it is
 //      run against the scalar reference (gemm_microkernel_scalar.hpp,
 //      rot_kernel_scalar.hpp, src/common/half.cpp) on probe problems covering
@@ -35,7 +39,8 @@ namespace tcevd {
 namespace blas {
 namespace simd {
 
-enum class Level : int { Scalar = 0, Avx2 = 1 };
+enum class Level : int { Scalar = 0, Avx2 = 1, Avx512 = 2 };
+inline constexpr int kLevels = 3;
 
 using MicroKernelF32 = void (*)(index_t kc, const float* ap, const float* bp, float alpha,
                                 float* c0, index_t ldc, index_t mr, index_t nr);
@@ -60,6 +65,13 @@ using RotSweepFn = void (*)(T* q, index_t ld, index_t h, index_t i0, index_t str
 struct KernelTable {
   MicroKernelF32 gemm_f32 = nullptr;
   MicroKernelPairF32 gemm_pair_f32 = nullptr;
+  /// f32 entries for calls whose packed operands are both fp16 values (the
+  /// tc-fp16 path, the EC fp16 head and tail): the product of two fp16
+  /// values is exact in fp32, so a fused multiply-add equals the reference's
+  /// mul-then-add bit for bit. The AVX-512 family installs FMA kernels here;
+  /// other families install their plain f32 kernels.
+  MicroKernelF32 gemm_f32_fp16 = nullptr;
+  MicroKernelPairF32 gemm_pair_f32_fp16 = nullptr;
   MicroKernelF64 gemm_f64 = nullptr;
   MicroKernelPairF64 gemm_pair_f64 = nullptr;
   RoundBufferFn round_fp16 = nullptr;
@@ -89,6 +101,10 @@ const char* active_level_reason() noexcept;
 bool cpu_supports_avx2() noexcept;
 /// True when this binary contains the AVX2 kernel family at all.
 bool compiled_with_avx2() noexcept;
+/// True when the running CPU reports AVX-512F + FMA + AVX2 + F16C.
+bool cpu_supports_avx512() noexcept;
+/// True when this binary contains the AVX-512 kernel family at all.
+bool compiled_with_avx512() noexcept;
 
 /// Process-wide count of packed-GEMM dispatches served by `level` since
 /// start. One dispatch == one gemm_packed / gemm_packed_split_b /
@@ -112,11 +128,20 @@ bool scalar_kernels_forced() noexcept;
 
 namespace detail {
 
+/// What the resolution policy knows about one vector family: compiled into
+/// this binary, supported by the CPU, and passing the bitwise self-check.
+struct FamilySupport {
+  bool compiled = false;
+  bool cpu = false;
+  bool selfcheck_ok = false;
+  bool usable() const noexcept { return compiled && cpu && selfcheck_ok; }
+};
+
 /// Pure resolution policy, unit-testable without process state: decide the
-/// level from the TCEVD_SIMD value (nullptr == unset), CPU capability, and
-/// the self-check verdict. `reason` receives a static string.
-Level resolve_level(const char* env_value, bool cpu_avx2, bool selfcheck_ok,
-                    const char** reason) noexcept;
+/// level from the TCEVD_SIMD value (nullptr == unset) and what is known
+/// about each family. `reason` receives a static string.
+Level resolve_level(const char* env_value, const FamilySupport& avx2,
+                    const FamilySupport& avx512, const char** reason) noexcept;
 
 /// Bump the per-level dispatch counter (one per packed-GEMM entry call).
 void record_dispatch(Level level) noexcept;

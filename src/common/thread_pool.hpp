@@ -87,7 +87,7 @@ class ThreadPool {
 
   /// True when the calling thread is a worker of ANY ThreadPool. This is the
   /// nested-parallelism guard: the packed GEMM macro-kernel consults it and
-  /// routes to the serial tile loop instead of fanning out again, so GEMMs
+  /// runs one lane on the calling thread instead of fanning out again, so GEMMs
   /// under solve_many workers / look-ahead run_pair tasks never oversubscribe.
   static bool on_worker_thread() noexcept;
 
@@ -148,13 +148,13 @@ void spin_wait_hint(int& backoff) noexcept;
 /// oversubscription degrades to less overlap, never to deadlock.
 ThreadPool& overlap_pool();
 
-/// Process-wide pool backing the packed GEMM macro-kernel's tile fan-out
+/// Process-wide pool backing the packed GEMM's lane fan-out
 /// (blas/gemm_packed.hpp). Lazily constructed on first use with
-/// hardware_threads() - 1 workers (the broadcasting caller steals tiles too,
+/// hardware_threads() - 1 workers (the broadcasting caller runs a lane too,
 /// so the total equals the hardware width). Thread-ownership contract: this
 /// pool is only ever driven via try_broadcast from threads that are NOT pool
 /// workers — nested GEMMs under solve_many workers, look-ahead run_pair
-/// tasks, or any other pool task take the serial tile loop instead (see
+/// tasks, or any other pool task take the serial path instead (see
 /// ThreadPool::on_worker_thread and blas::SerialGemmScope).
 ThreadPool& gemm_pool();
 

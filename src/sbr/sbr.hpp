@@ -114,6 +114,8 @@ struct SbrResult {
   std::vector<WyBlock> blocks; ///< WY blocks (sbr_wy only; for FormW / tests)
 };
 
+// All three drivers return InvalidArgument for a non-square `a`.
+
 /// Conventional ZY-based SBR (baseline). Panel failures that survive the
 /// internal TSQR -> BlockedQr fallback propagate as a non-ok Status.
 StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt);
@@ -124,11 +126,19 @@ StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
 /// Detached Band Reduction: reduce to bandwidth b while accumulating W/Y
 /// over nb >= b columns; the per-block trailing update is the detached
 /// symmetric rank-2k form with inner dimension nb (see the header comment).
-/// Stage telemetry lands under "sbr.dbr" / "sbr.dbr.trailing". With b == nb
+/// Stage telemetry lands under "sbr.dbr", with the sub-stages
+/// "sbr.dbr.panel" (TSQR panel + WY reconstruction), "sbr.dbr.inner" (the
+/// in-block skinny GEMMs), "sbr.dbr.trailing" and, with accumulate_q,
+/// "sbr.form_q" (also recorded by sbr_wy). With b == nb
 /// the output is bitwise identical to sbr_wy (same code path). Look-ahead is
 /// not supported for b < nb: the request is noted at recovery site "sbr.dbr"
 /// and the block schedule runs serial.
 StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt);
+
+namespace detail {
+/// The drivers' InvalidArgument for a non-square input.
+Status non_square_error(const char* driver, ConstMatrixView<float> a);
+}  // namespace detail
 
 /// Validate and normalize caller options against problem size n: rejects
 /// bandwidth outside [1, n) and big_block < bandwidth with InvalidArgument;

@@ -74,6 +74,12 @@ StatusOr<SbrOptions> validate_options(const SbrOptions& opt, index_t n) {
 
 namespace detail {
 
+Status non_square_error(const char* driver, ConstMatrixView<float> a) {
+  return invalid_argument_error(std::string(driver) + ": requires a square symmetric matrix (" +
+                                std::to_string(a.rows()) + " x " + std::to_string(a.cols()) +
+                                ")");
+}
+
 /// Process the big block starting at global offset s; returns the number of
 /// columns reduced (0 when the active matrix is already banded).
 StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel& la) {
@@ -107,6 +113,10 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
     auto panel_scope = ws.scope();
 
     if (p > 0) {
+      // The in-block skinny GEMMs (this materialization, then the w' update
+      // and P extension below) are timed as sbr.dbr.inner.
+      std::optional<StageTimer> inner_timer;
+      if (prm.dbr_stages) inner_timer.emplace(ctx.telemetry(), "sbr.dbr.inner");
       // Materialize the current values of columns C = [c, c+b), rows
       // [c, na) from OA and the accumulated (W, Y).
       const index_t pb = c;  // accumulated reflector count
@@ -158,6 +168,8 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
       auto panel = A.sub(s + c + b, s + c, m, b);
       w = panel_scope.matrix<float>(m, b);
       y = panel_scope.matrix<float>(m, b);
+      std::optional<StageTimer> panel_timer;
+      if (prm.dbr_stages) panel_timer.emplace(ctx.telemetry(), "sbr.dbr.panel");
       TCEVD_RETURN_IF_ERROR(panel_factor_wy(ctx, prm.panel_kind, panel, w, y));
     }
     for (index_t j = 0; j < b; ++j)  // mirror the finalized band columns
@@ -173,18 +185,22 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
     set_zero(wcol);
     copy_matrix<float>(ConstMatrixView<float>(w), W.sub(c, c, m, b));
     if (prefactored) la.drop();  // reflectors copied out; release the sibling scope
-    if (c > 0) {
-      // w' = w - W (Y^T w).
-      auto ytw = panel_scope.matrix<float>(c, b);
-      ctx.gemm(Trans::Yes, Trans::No, 1.0f, ConstMatrixView<float>(Y.sub(c, 0, m, c)),
-               ConstMatrixView<float>(W.sub(c, c, m, b)), 0.0f, ytw);
-      ctx.gemm(Trans::No, Trans::No, -1.0f, ConstMatrixView<float>(W.sub(0, 0, mt, c)),
-               ytw, 1.0f, wcol);
-    }
-    if (prm.cache_oa) {
-      // Extend the cache: P(:, c:c+b) = OA * w'.
-      ctx.gemm(Trans::No, Trans::No, 1.0f, oa, ConstMatrixView<float>(wcol), 0.0f,
-               P.sub(0, c, mt, b));
+    {
+      std::optional<StageTimer> inner_timer;
+      if (prm.dbr_stages) inner_timer.emplace(ctx.telemetry(), "sbr.dbr.inner");
+      if (c > 0) {
+        // w' = w - W (Y^T w).
+        auto ytw = panel_scope.matrix<float>(c, b);
+        ctx.gemm(Trans::Yes, Trans::No, 1.0f, ConstMatrixView<float>(Y.sub(c, 0, m, c)),
+                 ConstMatrixView<float>(W.sub(c, c, m, b)), 0.0f, ytw);
+        ctx.gemm(Trans::No, Trans::No, -1.0f, ConstMatrixView<float>(W.sub(0, 0, mt, c)),
+                 ytw, 1.0f, wcol);
+      }
+      if (prm.cache_oa) {
+        // Extend the cache: P(:, c:c+b) = OA * w'.
+        ctx.gemm(Trans::No, Trans::No, 1.0f, oa, ConstMatrixView<float>(wcol), 0.0f,
+                 P.sub(0, c, mt, b));
+      }
     }
 
     cols_done = c + b;
@@ -203,8 +219,7 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
                        tw > 0 && next_rows >= 2;
   if (tw > 0) {
     std::optional<StageTimer> trail_timer;
-    if (prm.trailing_stage != nullptr)
-      trail_timer.emplace(ctx.telemetry(), prm.trailing_stage);
+    if (prm.dbr_stages) trail_timer.emplace(ctx.telemetry(), "sbr.dbr.trailing");
     auto trail_scope = ws.scope();
     auto Wv = W.sub(0, 0, mt, cols_done);
 
@@ -355,11 +370,12 @@ StatusOr<index_t> process_wy_block(WyBlockParams& prm, index_t s, LookaheadPanel
 namespace {
 
 /// Shared driver loop of sbr_wy / sbr_dbr: run process_wy_block over the
-/// recursion, absorb look-ahead telemetry, form Q on request.
+/// recursion, absorb look-ahead telemetry, form Q on request (timed as
+/// sbr.form_q).
 StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
                                   const SbrOptions& opt, index_t nb,
                                   detail::TrailingKind trailing, bool lookahead,
-                                  const char* trailing_stage) {
+                                  bool dbr_stages) {
   const index_t n = a.rows();
   SbrResult result;
   result.band = Matrix<float>(n, n);
@@ -377,7 +393,7 @@ StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
   prm.lookahead = lookahead;
   prm.trailing = trailing;
   prm.use_tc_syr2k = opt.dbr_use_tc_syr2k;
-  prm.trailing_stage = trailing_stage;
+  prm.dbr_stages = dbr_stages;
 
   {
     detail::LookaheadPanel la;  // prefactored panel carried across block boundaries
@@ -392,6 +408,7 @@ StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
   if (ctx.has_lookahead_sibling()) ctx.absorb_sibling_telemetry();
 
   if (opt.accumulate_q) {
+    StageTimer form_timer(ctx.telemetry(), "sbr.form_q");
     result.q = form_q(result.blocks, n, ctx);
   }
   return result;
@@ -401,7 +418,7 @@ StatusOr<SbrResult> run_wy_blocks(ConstMatrixView<float> a, Context& ctx,
 
 StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt) {
   const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "sbr_wy requires a square symmetric matrix");
+  if (a.cols() != n) return detail::non_square_error("sbr_wy", a);
   StatusOr<SbrOptions> vopt_or = validate_options(opt, n);
   if (!vopt_or.ok()) return vopt_or.status();
   const SbrOptions vopt = *vopt_or;
@@ -411,12 +428,12 @@ StatusOr<SbrResult> sbr_wy(ConstMatrixView<float> a, Context& ctx, const SbrOpti
     ctx.lookahead_sibling().workspace().reserve(lookahead_workspace_query(n, vopt));
   StageTimer stage(ctx.telemetry(), "sbr.wy");
   return run_wy_blocks(a, ctx, vopt, vopt.big_block, detail::TrailingKind::Multiplicative,
-                       vopt.lookahead, nullptr);
+                       vopt.lookahead, /*dbr_stages=*/false);
 }
 
 StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt) {
   const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "sbr_dbr requires a square symmetric matrix");
+  if (a.cols() != n) return detail::non_square_error("sbr_dbr", a);
   StatusOr<SbrOptions> vopt_or = validate_options(opt, n);
   if (!vopt_or.ok()) return vopt_or.status();
   const SbrOptions vopt = *vopt_or;
@@ -441,7 +458,7 @@ StatusOr<SbrResult> sbr_dbr(ConstMatrixView<float> a, Context& ctx, const SbrOpt
   return run_wy_blocks(a, ctx, vopt, vopt.big_block,
                        detached ? detail::TrailingKind::DetachedSyr2k
                                 : detail::TrailingKind::Multiplicative,
-                       lookahead, "sbr.dbr.trailing");
+                       lookahead, /*dbr_stages=*/true);
 }
 
 std::size_t workspace_query(index_t n, const SbrOptions& opt) {

@@ -21,7 +21,7 @@ namespace tcevd::sbr {
 
 StatusOr<SbrResult> sbr_zy(ConstMatrixView<float> a, Context& ctx, const SbrOptions& opt) {
   const index_t n = a.rows();
-  TCEVD_CHECK(a.cols() == n, "sbr_zy requires a square symmetric matrix");
+  if (a.cols() != n) return detail::non_square_error("sbr_zy", a);
   // ZY ignores big_block, so only the bandwidth rule applies (validated,
   // not clamped — same contract as validate_options).
   const index_t b = opt.bandwidth;

@@ -51,8 +51,9 @@ struct WyBlockParams {
   bool lookahead = false;  // Multiplicative only
   TrailingKind trailing = TrailingKind::Multiplicative;
   bool use_tc_syr2k = false;          // DetachedSyr2k only
-  const char* trailing_stage = nullptr;  // StageTimer name for the trailing
-                                         // update (nullptr = untimed)
+  // Time the panel factorization, the in-block skinny GEMMs and the
+  // trailing update as sbr.dbr.panel / .inner / .trailing (sbr_dbr).
+  bool dbr_stages = false;
 };
 
 /// Next-block panel prefactored during the look-ahead overlap window. The

@@ -13,7 +13,9 @@
 //
 // The PackTransform functors expose both the per-element operator() the
 // packed-GEMM pack loops require and the batch apply() fast path they prefer
-// (gemm_packed.hpp's HasBatchApply/HasBatchSplit detection).
+// (gemm_packed.hpp's HasBatchApply/HasBatchSplit detection), plus
+// fp16_values(): true for the fp16 precision, whose every output is an fp16
+// value — the condition for the exact-FMA micro-kernel entry.
 #pragma once
 
 #include "src/blas/simd_dispatch.hpp"
@@ -48,7 +50,7 @@ inline void round_buffer(const float* src, float* dst, index_t n, TcPrecision pr
 }
 
 /// head[i] = round(src[i]); tail[i] = round(scale * (src[i] - head[i])) — the
-/// EC decomposition — for a contiguous run.
+/// EC decomposition — for a contiguous run; head == src is allowed.
 inline void ec_split_buffer(const float* src, float* head, float* tail, index_t n,
                             float scale, TcPrecision prec) {
   const blas::simd::KernelTable& kt = blas::simd::active_kernels();
@@ -59,9 +61,10 @@ inline void ec_split_buffer(const float* src, float* head, float* tail, index_t 
     return;
   }
   for (index_t i = 0; i < n; ++i) {
-    const float h = round_operand(src[i], prec);
+    const float v = src[i];
+    const float h = round_operand(v, prec);
     head[i] = h;
-    tail[i] = round_operand(scale * (src[i] - h), prec);
+    tail[i] = round_operand(scale * (v - h), prec);
   }
 }
 
@@ -71,6 +74,7 @@ inline void ec_split_buffer(const float* src, float* head, float* tail, index_t 
 struct RoundTransform {
   TcPrecision prec;
   float operator()(float v) const { return round_operand(v, prec); }
+  bool fp16_values() const { return prec == TcPrecision::Fp16; }
   void apply(const float* src, float* dst, index_t n) const {
     round_buffer(src, dst, n, prec);
   }
@@ -86,6 +90,7 @@ struct EcTailTransform {
     const float h = round_operand(v, prec);
     return round_operand(scale * (v - h), prec);
   }
+  bool fp16_values() const { return prec == TcPrecision::Fp16; }
   void apply(const float* src, float* dst, index_t n) const {
     constexpr index_t kChunk = 256;
     alignas(kKernelAlignment) float head[kChunk];
@@ -104,6 +109,7 @@ struct EcHeadTailSplit {
     h = round_operand(v, prec);
     t = round_operand(scale * (v - h), prec);
   }
+  bool fp16_values() const { return prec == TcPrecision::Fp16; }
   void apply(const float* src, float* head, float* tail, index_t n) const {
     ec_split_buffer(src, head, tail, n, scale, prec);
   }

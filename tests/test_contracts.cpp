@@ -39,20 +39,14 @@ TEST_F(ContractsDeath, TrsmNonSquareTriangularAborts) {
                "triangular factor shape mismatch");
 }
 
-TEST_F(ContractsDeath, SbrNonSquareAborts) {
-  Matrix<float> a(10, 12);
-  tc::Fp32Engine eng;
-  Context ctx(eng);
-  sbr::SbrOptions opt;
-  EXPECT_DEATH((void)sbr::sbr_wy(a.view(), ctx, opt), "square");
-}
-
 // Option inconsistencies are no longer process aborts: since the detached
 // band reduction decoupled bandwidth from big_block, the SBR entry points
 // validate caller options and return InvalidArgument (or round down with a
 // recovery note for a non-multiple big_block). See tests/test_dbr.cpp for
 // the full validation matrix; the Status form is pinned here so the old
 // death contract can't silently come back.
+// A non-square input is InvalidArgument too; tests/test_sbr.cpp covers
+// each driver (SbrInvalidInput.*).
 TEST(Contracts, SbrBandwidthOutOfRangeIsInvalidArgument) {
   auto a = test::random_symmetric<float>(8, 1);
   tc::Fp32Engine eng;

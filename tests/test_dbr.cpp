@@ -168,6 +168,30 @@ INSTANTIATE_TEST_SUITE_P(
 // Option validation (satellite: no silent clamps).
 // ---------------------------------------------------------------------------
 
+TEST(DbrTelemetry, SubStagesNestInsideTheDbrStage) {
+  // The layer split of a DBR reduction comes from committed timers: the
+  // panel (TSQR + WY reconstruction), the in-block skinny GEMMs and Q's
+  // formation each record a stage inside sbr.dbr, so together they cannot
+  // exceed it.
+  auto a = test::random_symmetric<float>(160, 17);
+  tc::TcEngine eng;
+  Context ctx(eng);
+  SbrOptions opt;
+  opt.bandwidth = 8;
+  opt.big_block = 32;
+  opt.accumulate_q = true;
+  ASSERT_TRUE(sbr::sbr_dbr(a.view(), ctx, opt).ok());
+  const Telemetry& t = ctx.telemetry();
+  const double total = t.stage_seconds("sbr.dbr");
+  double parts = 0.0;
+  for (const char* stage : {"sbr.dbr.panel", "sbr.dbr.inner", "sbr.form_q"}) {
+    EXPECT_GT(t.stage_seconds(stage), 0.0) << stage << " was not recorded";
+    parts += t.stage_seconds(stage);
+  }
+  EXPECT_GT(total, 0.0);
+  EXPECT_LE(parts, total);
+}
+
 TEST(DbrOptions, BigBlockBelowBandwidthIsInvalidArgument) {
   auto a = test::random_symmetric<float>(64, 3);
   tc::Fp32Engine eng;

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,13 +101,14 @@ void check_against_reference(const GemmCase& p, double tol) {
 TEST_P(PackedGemmTest, MatchesReferenceDouble) { check_against_reference<double>(GetParam(), 1e-12); }
 TEST_P(PackedGemmTest, MatchesReferenceFloat) { check_against_reference<float>(GetParam(), 5e-4); }
 
-// Shapes chosen to straddle every blocking boundary: MR=8/NR=8 remainders
-// (odd/prime), MC=128 and KC=256 crossings, plus m=1 / n=1 / k=0 edges.
+// Shapes chosen to straddle every blocking boundary: MR=16/NR=16 remainders
+// (odd/prime, 16/17), MC=128 and KC=256 crossings, plus m=1 / n=1 / k=0
+// edges.
 std::vector<GemmCase> all_combo_cases() {
   const std::vector<std::array<index_t, 3>> shapes = {
       {1, 1, 1},  {1, 37, 17},  {37, 1, 17},    {37, 17, 0},
       {7, 5, 3},  {13, 17, 11}, {97, 61, 37},   {131, 67, 259},
-      {257, 5, 3}, {130, 4, 256}, {8, 129, 300},
+      {257, 5, 3}, {130, 4, 256}, {8, 129, 300}, {16, 17, 33}, {17, 16, 257},
   };
   const std::vector<std::pair<Trans, Trans>> combos = {
       {Trans::No, Trans::No},
@@ -334,46 +336,56 @@ TEST(PackedSyr2k, MatchesRoundedReferenceAcrossPanels) {
 namespace simd = blas::simd;
 
 TEST(SimdDispatch, ResolveLevelPolicy) {
-  const bool compiled = simd::compiled_with_avx2();
+  using simd::detail::FamilySupport;
+  const FamilySupport yes{true, true, true};
+  const FamilySupport no_cpu{true, false, true};
+  const FamilySupport no_check{true, true, false};
+  const FamilySupport no_build{false, true, true};
   const char* reason = nullptr;
   // Forced off always wins.
-  EXPECT_EQ(simd::detail::resolve_level("off", true, true, &reason), simd::Level::Scalar);
+  EXPECT_EQ(simd::detail::resolve_level("off", yes, yes, &reason), simd::Level::Scalar);
   EXPECT_STREQ(reason, "TCEVD_SIMD=off");
-  EXPECT_EQ(simd::detail::resolve_level("scalar", true, true, &reason),
-            simd::Level::Scalar);
-  // Requested avx2 still requires CPU support AND a passing self-check.
-  EXPECT_EQ(simd::detail::resolve_level("avx2", false, true, &reason),
-            simd::Level::Scalar);
-  EXPECT_EQ(simd::detail::resolve_level("avx2", true, false, &reason),
-            simd::Level::Scalar);
-  EXPECT_EQ(simd::detail::resolve_level("avx2", true, true, &reason),
-            compiled ? simd::Level::Avx2 : simd::Level::Scalar);
-  // Auto (unset, empty, "auto", or a typo) detects, never trusts blindly.
+  EXPECT_EQ(simd::detail::resolve_level("scalar", yes, yes, &reason), simd::Level::Scalar);
+  // A requested AVX2 family still requires the build, CPU support AND a
+  // passing self-check; it never silently becomes another family.
+  for (const FamilySupport& bad : {no_cpu, no_check, no_build})
+    EXPECT_EQ(simd::detail::resolve_level("avx2", bad, yes, &reason), simd::Level::Scalar);
+  EXPECT_EQ(simd::detail::resolve_level("avx2", yes, yes, &reason), simd::Level::Avx2);
+  EXPECT_STREQ(reason, "TCEVD_SIMD=avx2");
+  // Auto (unset, empty, "auto", or a typo) picks the widest usable family.
   for (const char* env : {static_cast<const char*>(nullptr), "", "auto", "bogus"}) {
-    EXPECT_EQ(simd::detail::resolve_level(env, true, true, &reason),
-              compiled ? simd::Level::Avx2 : simd::Level::Scalar);
-    EXPECT_EQ(simd::detail::resolve_level(env, false, true, &reason),
-              simd::Level::Scalar);
-    EXPECT_EQ(simd::detail::resolve_level(env, true, false, &reason),
-              simd::Level::Scalar);
+    EXPECT_EQ(simd::detail::resolve_level(env, yes, yes, &reason), simd::Level::Avx512);
+    for (const FamilySupport& bad : {no_cpu, no_check, no_build}) {
+      EXPECT_EQ(simd::detail::resolve_level(env, yes, bad, &reason), simd::Level::Avx2);
+      EXPECT_EQ(simd::detail::resolve_level(env, bad, bad, &reason), simd::Level::Scalar);
+    }
   }
+}
+
+/// The level auto-detection picks on this host and build.
+simd::Level detected_level() {
+  if (simd::compiled_with_avx512() && simd::cpu_supports_avx512()) return simd::Level::Avx512;
+  if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) return simd::Level::Avx2;
+  return simd::Level::Scalar;
 }
 
 TEST(SimdDispatch, ActiveLevelMatchesEnvironment) {
   // This test runs under several CI legs with different TCEVD_SIMD values:
   // assert the resolved level is consistent with whatever is set right now.
   const char* env = std::getenv("TCEVD_SIMD");
-  const bool capable = simd::compiled_with_avx2() && simd::cpu_supports_avx2();
   const simd::Level lvl = simd::kernels().level;
-  if (env != nullptr &&
-      (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0)) {
+  const auto env_is = [env](const char* v) { return env != nullptr && std::strcmp(env, v) == 0; };
+  if (env_is("off") || env_is("scalar")) {
     EXPECT_EQ(lvl, simd::Level::Scalar) << simd::active_level_reason();
-  } else {
+  } else if (env_is("avx2")) {
+    const bool capable = simd::compiled_with_avx2() && simd::cpu_supports_avx2();
     EXPECT_EQ(lvl, capable ? simd::Level::Avx2 : simd::Level::Scalar)
         << simd::active_level_reason();
+  } else {
+    EXPECT_EQ(lvl, detected_level()) << simd::active_level_reason();
   }
-  EXPECT_STREQ(simd::kernels().name,
-               simd::kernels().level == simd::Level::Avx2 ? "avx2" : "scalar");
+  const char* names[] = {"scalar", "avx2", "avx512"};
+  EXPECT_STREQ(simd::kernels().name, names[static_cast<int>(lvl)]);
 }
 
 TEST(SimdDispatch, RefreshHonorsEnvOverride) {
@@ -391,9 +403,22 @@ TEST(SimdDispatch, RefreshHonorsEnvOverride) {
   if (simd::compiled_with_avx2() && simd::cpu_supports_avx2()) {
     EXPECT_EQ(simd::kernels().level, simd::Level::Avx2) << simd::active_level_reason();
     EXPECT_NE(simd::kernels().gemm_f32, nullptr);
+    EXPECT_EQ(simd::kernels().gemm_f32_fp16, simd::kernels().gemm_f32)
+        << "the AVX2 family has no FMA entry: fp16 calls run its plain kernel";
     EXPECT_NE(simd::kernels().round_fp16, nullptr);
   } else {
     EXPECT_EQ(simd::kernels().level, simd::Level::Scalar);
+  }
+
+  ::setenv("TCEVD_SIMD", "auto", 1);
+  simd::detail::refresh_for_testing();
+  if (detected_level() == simd::Level::Avx512) {
+    EXPECT_EQ(simd::kernels().level, simd::Level::Avx512) << simd::active_level_reason();
+    EXPECT_NE(simd::kernels().gemm_f32_fp16, nullptr);
+    EXPECT_NE(simd::kernels().gemm_f32_fp16, simd::kernels().gemm_f32);
+    EXPECT_NE(simd::kernels().rot_sweep_f32, nullptr);
+  } else {
+    EXPECT_EQ(simd::kernels().level, detected_level()) << simd::active_level_reason();
   }
 
   if (saved != nullptr)
@@ -680,16 +705,27 @@ bool is_kernel_aligned(const T* p) {
 }
 
 TEST(PackAlignment, ThreadLocalArenasAre64ByteAligned) {
-  auto& bf = blas::packed::pack_buffers<float>();
-  EXPECT_TRUE(is_kernel_aligned(bf.a.data()));
-  EXPECT_TRUE(is_kernel_aligned(bf.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bf.a2.data()));
-  EXPECT_TRUE(is_kernel_aligned(bf.b2.data()));
-  auto& bd = blas::packed::pack_buffers<double>();
-  EXPECT_TRUE(is_kernel_aligned(bd.a.data()));
-  EXPECT_TRUE(is_kernel_aligned(bd.b.data()));
-  EXPECT_TRUE(is_kernel_aligned(bd.a2.data()));
-  EXPECT_TRUE(is_kernel_aligned(bd.b2.data()));
+  // The caller arenas grow on first use: run a split-B (EC) float GEMM and a
+  // plain double one on this thread so every arena below is populated.
+  auto a = random_mat<float>(40, 40, 91);
+  Matrix<float> c(40, 40);
+  ASSERT_TRUE(tc::ec_tcgemm(Trans::No, Trans::No, 1.0f, a.view(), a.view(), 0.0f, c.view())
+                  .ok());
+  auto ad64 = random_mat<double>(40, 40, 92);
+  Matrix<double> cd(40, 40);
+  blas::gemm<double>(Trans::No, Trans::No, 1.0, ad64.view(), ad64.view(), 0.0, cd.view());
+  auto& f = blas::packed::caller_buffers<float>();
+  ASSERT_FALSE(f.a.empty());
+  ASSERT_FALSE(f.b.empty());
+  ASSERT_FALSE(f.b2.empty());
+  EXPECT_TRUE(is_kernel_aligned(f.a.data()));
+  EXPECT_TRUE(is_kernel_aligned(f.b.data()));
+  EXPECT_TRUE(is_kernel_aligned(f.b2.data()));
+  auto& d = blas::packed::caller_buffers<double>();
+  ASSERT_FALSE(d.a.empty());
+  ASSERT_FALSE(d.b.empty());
+  EXPECT_TRUE(is_kernel_aligned(d.a.data()));
+  EXPECT_TRUE(is_kernel_aligned(d.b.data()));
 }
 
 TEST(PackAlignment, AlignedVectorAlwaysAligned) {
@@ -701,6 +737,194 @@ TEST(PackAlignment, AlignedVectorAlwaysAligned) {
     EXPECT_TRUE(is_kernel_aligned(vd.data())) << "double n=" << n;
     vf.resize(3 * n + 1);
     EXPECT_TRUE(is_kernel_aligned(vf.data())) << "float regrown n=" << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512 tier: each kernel of the family against the scalar reference on
+// every mr x nr tail, kc tails, and the special values and fp16 extremes the
+// exact-FMA argument rests on.
+// ---------------------------------------------------------------------------
+
+/// Bit-pattern equality (NaNs included) over a whole buffer.
+template <typename T>
+bool same_bits(const T* a, const T* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
+}
+
+/// Restores TCEVD_SIMD and the resolved table on scope exit.
+class SimdEnvScope {
+ public:
+  explicit SimdEnvScope(const char* value) {
+    const char* saved = std::getenv("TCEVD_SIMD");
+    had_ = saved != nullptr;
+    if (had_) saved_ = saved;
+    ::setenv("TCEVD_SIMD", value, 1);
+    simd::detail::refresh_for_testing();
+  }
+  ~SimdEnvScope() {
+    if (had_)
+      ::setenv("TCEVD_SIMD", saved_.c_str(), 1);
+    else
+      ::unsetenv("TCEVD_SIMD");
+    simd::detail::refresh_for_testing();
+  }
+  SimdEnvScope(const SimdEnvScope&) = delete;
+  SimdEnvScope& operator=(const SimdEnvScope&) = delete;
+
+ private:
+  bool had_ = false;
+  std::string saved_;
+};
+
+/// Packed operands with sprinkled specials: signed zeros, +-inf and the x86
+/// default quiet NaN (the one NaN pattern every kernel propagates alike).
+template <typename T>
+std::vector<T> kernel_probe_values(std::size_t n, std::uint32_t seed, bool specials) {
+  Rng rng(seed);
+  std::vector<T> v(n);
+  for (auto& x : v) x = static_cast<T>(rng.normal());
+  if (specials) {
+    const T inf = std::numeric_limits<T>::infinity();
+    const T qnan = -std::numeric_limits<T>::quiet_NaN();
+    for (std::size_t i = 0; i < n; i += 37) v[i] = (i / 37) % 2 == 0 ? T{0} : -T{0};
+    if (n > 200) {
+      v[101] = inf;
+      v[157] = -inf;
+      v[199] = qnan;
+    }
+  }
+  return v;
+}
+
+/// fp16 values from the subnormal 2^-24 to 2^16, with the extremes planted:
+/// the smallest subnormal (products near 2^-48), 65504 (products near 2^32),
+/// subnormal-times-normal mixes and signed zeros.
+std::vector<float> fp16_probe_values(std::size_t n, std::uint32_t seed) {
+  std::vector<float> v(n);
+  std::uint32_t s = seed;
+  for (auto& x : v) {
+    s = s * 1664525u + 1013904223u;
+    const int e = static_cast<int>((s >> 8) % 41u) - 24;
+    const float mant = 1.0f + static_cast<float>((s >> 16) & 0x3ffu) / 1024.0f;
+    const float m = std::ldexp(mant, e);
+    x = round_to_half((s & 1u) != 0 ? -m : m);
+  }
+  const float tiny = std::ldexp(1.0f, -24);
+  for (std::size_t i = 0; i < n; i += 11) v[i] = (i / 11) % 2 == 0 ? tiny : -65504.0f;
+  for (std::size_t i = 5; i < n; i += 23) v[i] = (i / 23) % 2 == 0 ? 0.0f : -0.0f;
+  for (std::size_t i = 7; i < n; i += 29) v[i] = round_to_half(std::ldexp(1.5f, -20));
+  return v;
+}
+
+template <typename T>
+using PlainFn = void (*)(index_t, const T*, const T*, T, T*, index_t, index_t, index_t);
+template <typename T>
+using PairFn = void (*)(index_t, const T*, const T*, const T*, const T*, T, T*, index_t,
+                        index_t, index_t);
+
+/// Every mr, nr in 1..16 and kc in {1, 7, 255, 256} for one plain and one
+/// pair kernel; the full 16 x 16 C footprint is compared, so writes past
+/// mr/nr are caught too.
+template <typename T>
+void expect_kernels_match_scalar(PlainFn<T> plain, PairFn<T> pair, const std::vector<T>& a1,
+                                 const std::vector<T>& b1, const std::vector<T>& a2,
+                                 const std::vector<T>& b2, const char* what) {
+  using blas::packed::kMR;
+  using blas::packed::kNR;
+  AlignedVector<T> ap1(a1.begin(), a1.end()), ap2(a2.begin(), a2.end());
+  const std::vector<T> cbase = kernel_probe_values<T>(kMR * kNR, 99, false);
+  std::vector<T> cref(kMR * kNR), cvec(kMR * kNR);
+  for (const index_t kc : {index_t{1}, index_t{7}, index_t{255}, index_t{256}}) {
+    for (index_t mr = 1; mr <= kMR; ++mr) {
+      for (index_t nr = 1; nr <= kNR; ++nr) {
+        cref = cbase;
+        cvec = cbase;
+        blas::packed::micro_kernel_scalar<T>(kc, ap1.data(), b1.data(), T(0.75), cref.data(),
+                                             kMR, mr, nr);
+        plain(kc, ap1.data(), b1.data(), T(0.75), cvec.data(), kMR, mr, nr);
+        ASSERT_TRUE(same_bits(cref.data(), cvec.data(), cref.size()))
+            << what << " plain kernel, kc " << kc << ", mr " << mr << ", nr " << nr;
+        cref = cbase;
+        cvec = cbase;
+        blas::packed::micro_kernel_pair_scalar<T>(kc, ap1.data(), b1.data(), ap2.data(),
+                                                  b2.data(), T(-1.25), cref.data(), kMR, mr,
+                                                  nr);
+        pair(kc, ap1.data(), b1.data(), ap2.data(), b2.data(), T(-1.25), cvec.data(), kMR, mr,
+             nr);
+        ASSERT_TRUE(same_bits(cref.data(), cvec.data(), cref.size()))
+            << what << " pair kernel, kc " << kc << ", mr " << mr << ", nr " << nr;
+      }
+    }
+  }
+}
+
+TEST(SimdGemm, Avx512BitwiseEqualsScalarReference) {
+  SimdEnvScope env("auto");
+  const simd::KernelTable& kt = simd::kernels();
+  if (kt.level != simd::Level::Avx512)
+    GTEST_SKIP() << "AVX-512 family not active: " << simd::active_level_reason();
+  using blas::packed::kMR;
+  using blas::packed::kNR;
+  const std::size_t na = 256 * kMR, nb = 256 * kNR;
+  expect_kernels_match_scalar<float>(
+      kt.gemm_f32, kt.gemm_pair_f32, kernel_probe_values<float>(na, 1, true),
+      kernel_probe_values<float>(nb, 2, true), kernel_probe_values<float>(na, 3, true),
+      kernel_probe_values<float>(nb, 4, true), "f32");
+  expect_kernels_match_scalar<double>(
+      kt.gemm_f64, kt.gemm_pair_f64, kernel_probe_values<double>(na, 5, true),
+      kernel_probe_values<double>(nb, 6, true), kernel_probe_values<double>(na, 7, true),
+      kernel_probe_values<double>(nb, 8, true), "f64");
+  // The fp16-operand (FMA) entries: exact products make them equal to the
+  // reference's mul-then-add on any fp16 data, specials included.
+  std::vector<float> h1 = fp16_probe_values(na, 11), h2 = fp16_probe_values(nb, 12);
+  const float inf = std::numeric_limits<float>::infinity();
+  h1[301] = inf;
+  h2[402] = -inf;
+  h1[503] = -std::numeric_limits<float>::quiet_NaN();
+  expect_kernels_match_scalar<float>(kt.gemm_f32_fp16, kt.gemm_pair_f32_fp16, h1, h2,
+                                     fp16_probe_values(na, 13), fp16_probe_values(nb, 14),
+                                     "f32 fp16-operand");
+}
+
+// ---------------------------------------------------------------------------
+// BLIS-style lanes: pooled == serial bitwise when m spans several lanes'
+// ic slices, the shared B is packed by several lanes, and when the lanes
+// split B's panels too (few rows), with ABFT off and on.
+// ---------------------------------------------------------------------------
+
+TEST(GemmLanes, PooledBitwiseEqualsSerialAcrossSlices) {
+  struct Case {
+    Trans ta, tb;
+    index_t m, n, k;
+  };
+  const Case cases[] = {
+      {Trans::No, Trans::No, 992, 32, 992},    // OA·w'
+      {Trans::No, Trans::Yes, 480, 32, 224},   // P·Y^T
+      {Trans::Yes, Trans::No, 224, 32, 736},   // W^T·M
+      {Trans::No, Trans::No, 32, 600, 300},    // few rows: lanes split B panels
+      {Trans::Yes, Trans::Yes, 300, 1100, 40}, // two nc blocks
+  };
+  for (const bool abft_on : {false, true}) {
+    for (const Case& p : cases) {
+      auto a = random_mat<float>(p.ta == Trans::No ? p.m : p.k, p.ta == Trans::No ? p.k : p.m,
+                                 61);
+      auto b = random_mat<float>(p.tb == Trans::No ? p.k : p.n, p.tb == Trans::No ? p.n : p.k,
+                                 62);
+      auto c_pooled = random_mat<float>(p.m, p.n, 63);
+      auto c_serial = c_pooled;
+      std::optional<blas::abft::AbftScope> abft;
+      if (abft_on) abft.emplace();
+      const auto before = blas::gemm_pool_dispatches();
+      tc::tc_gemm(p.ta, p.tb, 0.5f, a.view(), b.view(), 1.5f, c_pooled.view());
+      EXPECT_GT(blas::gemm_pool_dispatches(), before)
+          << p.m << "x" << p.n << "x" << p.k << " did not fan out";
+      {
+        blas::SerialGemmScope serial;
+        tc::tc_gemm(p.ta, p.tb, 0.5f, a.view(), b.view(), 1.5f, c_serial.view());
+      }
+      expect_bitwise_equal<float>(c_pooled.view(), c_serial.view());
+    }
   }
 }
 

@@ -349,5 +349,44 @@ TEST(Sbr, AlreadyBandedInputPreservedUpToSigns) {
   EXPECT_LT(eigenvalue_error(ref.data(), got.data(), n) * n, 1e-5);
 }
 
+// ---------------------------------------------------------------------------
+// Non-square input is a caller error the drivers report, not an abort.
+// ---------------------------------------------------------------------------
+
+TEST(SbrInvalidInput, ZyRejectsNonSquare) {
+  Matrix<float> a(40, 32);
+  tc::Fp32Engine engine;
+  Context ctx(engine);
+  SbrOptions opt;
+  opt.bandwidth = 4;
+  const auto res = sbr::sbr_zy(a.view(), ctx, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::InvalidArgument) << res.status().to_string();
+}
+
+TEST(SbrInvalidInput, WyRejectsNonSquare) {
+  Matrix<float> a(32, 40);
+  tc::Fp32Engine engine;
+  Context ctx(engine);
+  SbrOptions opt;
+  opt.bandwidth = 4;
+  opt.big_block = 8;
+  const auto res = sbr::sbr_wy(a.view(), ctx, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::InvalidArgument) << res.status().to_string();
+}
+
+TEST(SbrInvalidInput, DbrRejectsNonSquare) {
+  Matrix<float> a(40, 32);
+  tc::Fp32Engine engine;
+  Context ctx(engine);
+  SbrOptions opt;
+  opt.bandwidth = 4;
+  opt.big_block = 8;
+  const auto res = sbr::sbr_dbr(a.view(), ctx, opt);
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), ErrorCode::InvalidArgument) << res.status().to_string();
+}
+
 }  // namespace
 }  // namespace tcevd
