@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <vector>
 
 #include "src/blas/gemm_microkernel_scalar.hpp"
 #include "src/blas/rot_kernel_scalar.hpp"
@@ -171,35 +172,50 @@ bool check_convert_kernels(const KernelTable& t) {
   return true;
 }
 
-// Rotation sweeps over a column-major block: row counts around the vector
-// widths exercise every tail path, a skip marker and signed zeros in the data
-// catch a kernel that applies a skipped rotation as the identity, and the
-// full-block memcmp proves columns outside the rotated planes stay untouched.
+// Rotation waves against the serial sweep-by-sweep replay, so the probe
+// pins the wave order as well as the arithmetic: row counts around the
+// vector widths exercise every tail path, diagonal distances 2, 3 and 5 give
+// every lag pattern, a skip marker and signed zeros in the data catch a
+// kernel that applies a skipped rotation as the identity, and the full-block
+// memcmp proves columns outside the rotated planes stay untouched.
 template <typename T>
-bool check_rot_sweep(RotSweepFn<T> vec, T (*draw)(std::uint32_t&)) {
-  constexpr index_t kCols = 12;
-  constexpr index_t kMaxRows = 37;
-  constexpr index_t kRots = 5;
-  T base[kMaxRows * kCols];
-  T ref[kMaxRows * kCols];
-  T got[kMaxRows * kCols];
-  T cs[2 * kRots];
+bool check_rot_wave(RotWaveFn<T> vec, T (*draw)(std::uint32_t&)) {
+  constexpr index_t kCols = 13;
+  constexpr index_t kMaxRows = 131;
+  constexpr index_t kS0 = 1;
+  constexpr index_t kSweeps = 7;
+  std::vector<T> base(kMaxRows * kCols);
+  std::vector<T> ref(base.size());
+  std::vector<T> got(base.size());
+  T cs[2 * kSweeps * kCols];
   std::uint32_t seed = 0x5eed0b1eu;
   for (index_t i = 0; i < kMaxRows * kCols; ++i)
     base[i] = (i % 5 == 0) ? ((i % 2 == 0) ? T{0} : -T{0}) : draw(seed);
-  for (index_t j = 0; j < kRots; ++j) {
+  for (index_t j = 0; j < kSweeps * kCols; ++j) {
     cs[2 * j] = draw(seed) / T{2};
     cs[2 * j + 1] = draw(seed) / T{2};
   }
-  cs[2 * 2] = kRotSkip<T>;
-  for (const index_t h : {index_t{1}, index_t{3}, index_t{4}, index_t{7}, index_t{8},
-                          index_t{9}, index_t{16}, index_t{23}, kMaxRows}) {
-    for (const index_t stride : {index_t{1}, index_t{2}}) {
-      std::memcpy(ref, base, sizeof base);
-      std::memcpy(got, base, sizeof base);
-      rot_sweep_scalar<T>(ref, h, h, 1, stride, kRots, cs);
-      vec(got, h, h, 1, stride, kRots, cs);
-      if (std::memcmp(ref, got, sizeof ref) != 0) return false;
+  cs[2 * 3] = kRotSkip<T>;
+  // Every count of tail vectors at every width, in blocks of 8 vectors:
+  // 8 floats and 4 doubles (AVX2), 16 floats and 8 doubles (AVX-512).
+  for (const index_t h : {index_t{1}, index_t{3}, index_t{7}, index_t{8}, index_t{9},
+                          index_t{13}, index_t{16}, index_t{17}, index_t{21}, index_t{25},
+                          index_t{30}, index_t{33}, index_t{41}, index_t{49}, index_t{57},
+                          index_t{60}, index_t{64}, index_t{65}, index_t{81}, index_t{97},
+                          index_t{113}, index_t{120}, index_t{128}, kMaxRows}) {
+    for (const index_t d : {index_t{2}, index_t{3}, index_t{5}}) {
+      for (const index_t m : {index_t{1}, index_t{3}, kSweeps}) {
+        ref = base;
+        got = base;
+        const T* log = cs;
+        for (index_t s = kS0; s < kS0 + m; ++s) {
+          const index_t len = (kCols - 1 - s) / d;
+          rot_sweep_scalar<T>(ref.data(), h, h, s + d - 1, d, len, log);
+          log += 2 * len;
+        }
+        vec(got.data(), h, h, kCols, d, kS0, m, cs);
+        if (std::memcmp(ref.data(), got.data(), sizeof(T) * ref.size()) != 0) return false;
+      }
     }
   }
   return true;
@@ -211,8 +227,8 @@ bool selfcheck(const KernelTable& t) {
   return check_micro_kernels<float>(t.gemm_f32, t.gemm_pair_f32, &lcg_f32) &&
          check_micro_kernels<float>(t.gemm_f32_fp16, t.gemm_pair_f32_fp16, &lcg_f16) &&
          check_micro_kernels<double>(t.gemm_f64, t.gemm_pair_f64, &lcg_f64) &&
-         check_convert_kernels(t) && check_rot_sweep<float>(t.rot_sweep_f32, &lcg_f32) &&
-         check_rot_sweep<double>(t.rot_sweep_f64, &lcg_f64);
+         check_convert_kernels(t) && check_rot_wave<float>(t.rot_wave_f32, &lcg_f32) &&
+         check_rot_wave<double>(t.rot_wave_f64, &lcg_f64);
 }
 
 KernelTable avx2_table() {
@@ -227,17 +243,15 @@ KernelTable avx2_table() {
   t.round_tf32 = &avx2::round_tf32_buffer;
   t.ec_split_fp16 = &avx2::ec_split_fp16_buffer;
   t.ec_split_tf32 = &avx2::ec_split_tf32_buffer;
-  t.rot_sweep_f32 = &avx2::rot_sweep_f32;
-  t.rot_sweep_f64 = &avx2::rot_sweep_f64;
+  t.rot_wave_f32 = &avx2::rot_wave_f32;
+  t.rot_wave_f64 = &avx2::rot_wave_f64;
   t.level = Level::Avx2;
   t.name = "avx2";
   return t;
 }
 
 #ifdef TCEVD_HAVE_AVX512
-// The AVX-512 family widens the GEMM and convert kernels and keeps the AVX2
-// rotation sweeps (the chase's column pairs are short; its own tier is not
-// part of this family).
+// The AVX-512 family widens the GEMM, convert and rotation-wave kernels.
 KernelTable avx512_table() {
   KernelTable t = avx2_table();
   t.gemm_f32 = &avx512::micro_kernel_f32;
@@ -250,6 +264,8 @@ KernelTable avx512_table() {
   t.round_tf32 = &avx512::round_tf32_buffer;
   t.ec_split_fp16 = &avx512::ec_split_fp16_buffer;
   t.ec_split_tf32 = &avx512::ec_split_tf32_buffer;
+  t.rot_wave_f32 = &avx512::rot_wave_f32;
+  t.rot_wave_f64 = &avx512::rot_wave_f64;
   t.level = Level::Avx512;
   t.name = "avx512";
   return t;

@@ -1,5 +1,5 @@
 // Runtime SIMD dispatch for the packed GEMM micro-kernels, the Tensor Core
-// operand-convert loops and the bulge chase's rotation-sweep kernel — pinned
+// operand-convert loops and the bulge chase's rotation-wave kernel — pinned
 // bitwise to the scalar reference.
 //
 // Resolution happens once, at first use, in three steps:
@@ -9,8 +9,7 @@
 //      unset/auto picks the widest family that is compiled in, supported
 //      and self-checked.
 //   2. cpuid probe: the AVX2 family needs AVX2 + F16C (fp16 converts); the
-//      AVX-512 family needs AVX-512F + FMA on top (it reuses the AVX2
-//      rotation sweeps).
+//      AVX-512 family needs AVX-512F + FMA on top.
 //   3. bitwise self-check: before a vector kernel table is installed it is
 //      run against the scalar reference (gemm_microkernel_scalar.hpp,
 //      rot_kernel_scalar.hpp, src/common/half.cpp) on probe problems covering
@@ -55,10 +54,10 @@ using MicroKernelPairF64 = void (*)(index_t kc, const double* ap1, const double*
 using RoundBufferFn = void (*)(const float* src, float* dst, index_t n);
 using EcSplitBufferFn = void (*)(const float* src, float* head, float* tail, index_t n,
                                  float scale);
-/// Signature of blas::rot_sweep_scalar (rot_kernel_scalar.hpp).
+/// Signature of blas::rot_wave_scalar (rot_kernel_scalar.hpp).
 template <typename T>
-using RotSweepFn = void (*)(T* q, index_t ld, index_t h, index_t i0, index_t stride,
-                            index_t count, const T* cs);
+using RotWaveFn = void (*)(T* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                           index_t m, const T* cs);
 
 /// Resolved kernel family. A null entry means "no vector kernel — run the
 /// scalar reference inline".
@@ -78,8 +77,8 @@ struct KernelTable {
   RoundBufferFn round_tf32 = nullptr;
   EcSplitBufferFn ec_split_fp16 = nullptr;
   EcSplitBufferFn ec_split_tf32 = nullptr;
-  RotSweepFn<float> rot_sweep_f32 = nullptr;
-  RotSweepFn<double> rot_sweep_f64 = nullptr;
+  RotWaveFn<float> rot_wave_f32 = nullptr;
+  RotWaveFn<double> rot_wave_f64 = nullptr;
   Level level = Level::Scalar;
   const char* name = "scalar";
 };

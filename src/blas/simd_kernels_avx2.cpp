@@ -24,7 +24,7 @@
 //
 // Remainders: mr < 16 spills the accumulator to an aligned temp and finishes
 // with the scalar writeback; n % 8 convert tails and the row tails of the
-// rotation sweeps run the scalar reference.
+// rotation waves run the scalar reference.
 #include "src/blas/simd_kernels_avx2.hpp"
 
 #ifdef TCEVD_HAVE_AVX2
@@ -34,7 +34,7 @@
 #include <algorithm>
 
 #include "src/blas/gemm_microkernel_scalar.hpp"
-#include "src/blas/rot_kernel_scalar.hpp"
+#include "src/blas/rot_wave_vec.hpp"
 #include "src/common/half.hpp"
 
 namespace tcevd::blas::simd::avx2 {
@@ -239,60 +239,52 @@ void ec_split_tf32_buffer(const float* src, float* head, float* tail, index_t n,
 
 namespace {
 
-// One rotation over rows [0, h) of the column pair (x, y), one lane per row:
-// lane r computes exactly rot_pair_scalar's x' = c*x + s*y and
-// y' = (-s)*x + c*y with separate mul and add.
-template <typename Vec>
-void rot_pair_vec(typename Vec::T* x, typename Vec::T* y, index_t h, typename Vec::T c,
-                  typename Vec::T s) {
+// Rotation waves: register-blocked passes of eight vectors of rows
+// (rot_wave_vec.hpp), one pass over the remaining full vectors, and the
+// scalar reference for the last rows.
+template <typename Vec, int NV>
+void rot_wave_pass(typename Vec::T* q, index_t ld, index_t n, index_t d, index_t s0,
+                   index_t m, const typename Vec::T* cs) {
+  using T = typename Vec::T;
   using V = typename Vec::V;
-  constexpr index_t w = Vec::kWidth;
-  const V vc = Vec::set1(c);
-  const V vs = Vec::set1(s);
-  const V vns = Vec::set1(-s);
-  index_t r = 0;
-  // Two vectors per step: independent chains hide the mul/add latency.
-  for (; r + 2 * w <= h; r += 2 * w) {
-    const V x0 = Vec::loadu(x + r);
-    const V x1 = Vec::loadu(x + r + w);
-    const V y0 = Vec::loadu(y + r);
-    const V y1 = Vec::loadu(y + r + w);
-    Vec::storeu(x + r, Vec::add(Vec::mul(vc, x0), Vec::mul(vs, y0)));
-    Vec::storeu(x + r + w, Vec::add(Vec::mul(vc, x1), Vec::mul(vs, y1)));
-    Vec::storeu(y + r, Vec::add(Vec::mul(vns, x0), Vec::mul(vc, y0)));
-    Vec::storeu(y + r + w, Vec::add(Vec::mul(vns, x1), Vec::mul(vc, y1)));
-  }
-  for (; r + w <= h; r += w) {
-    const V x0 = Vec::loadu(x + r);
-    const V y0 = Vec::loadu(y + r);
-    Vec::storeu(x + r, Vec::add(Vec::mul(vc, x0), Vec::mul(vs, y0)));
-    Vec::storeu(y + r, Vec::add(Vec::mul(vns, x0), Vec::mul(vc, y0)));
-  }
-  rot_pair_scalar(x + r, y + r, h - r, c, s);
+  detail::rot_wave_pass<Vec, NV>(
+      q, ld, n, d, s0, m, cs, [](const T* p, int) { return Vec::loadu(p); },
+      [](T* p, int, V v) { Vec::storeu(p, v); });
 }
 
 template <typename Vec>
-void rot_sweep_vec(typename Vec::T* q, index_t ld, index_t h, index_t i0, index_t stride,
-                   index_t count, const typename Vec::T* cs) {
-  using T = typename Vec::T;
-  for (index_t j = 0; j < count; ++j) {
-    const T c = cs[2 * j];
-    if (c == kRotSkip<T>) continue;
-    T* x = q + (i0 + j * stride) * ld;
-    rot_pair_vec<Vec>(x, x + ld, h, c, cs[2 * j + 1]);
+void rot_wave(typename Vec::T* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+              index_t m, const typename Vec::T* cs) {
+  constexpr index_t w = Vec::kWidth;
+  constexpr int kBlock = 8;  // the switch below covers 1 .. kBlock - 1 vectors
+  index_t r = 0;
+  for (; r + kBlock * w <= h; r += kBlock * w) {
+    rot_wave_pass<Vec, kBlock>(q + r, ld, n, d, s0, m, cs);
   }
+  switch ((h - r) / w) {
+    case 1: rot_wave_pass<Vec, 1>(q + r, ld, n, d, s0, m, cs); break;
+    case 2: rot_wave_pass<Vec, 2>(q + r, ld, n, d, s0, m, cs); break;
+    case 3: rot_wave_pass<Vec, 3>(q + r, ld, n, d, s0, m, cs); break;
+    case 4: rot_wave_pass<Vec, 4>(q + r, ld, n, d, s0, m, cs); break;
+    case 5: rot_wave_pass<Vec, 5>(q + r, ld, n, d, s0, m, cs); break;
+    case 6: rot_wave_pass<Vec, 6>(q + r, ld, n, d, s0, m, cs); break;
+    case 7: rot_wave_pass<Vec, 7>(q + r, ld, n, d, s0, m, cs); break;
+    default: break;
+  }
+  r += (h - r) / w * w;
+  if (r < h) rot_wave_scalar(q + r, ld, h - r, n, d, s0, m, cs);
 }
 
 }  // namespace
 
-void rot_sweep_f32(float* q, index_t ld, index_t h, index_t i0, index_t stride,
-                   index_t count, const float* cs) {
-  rot_sweep_vec<Vec8F32>(q, ld, h, i0, stride, count, cs);
+void rot_wave_f32(float* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const float* cs) {
+  rot_wave<Vec8F32>(q, ld, h, n, d, s0, m, cs);
 }
 
-void rot_sweep_f64(double* q, index_t ld, index_t h, index_t i0, index_t stride,
-                   index_t count, const double* cs) {
-  rot_sweep_vec<Vec4F64>(q, ld, h, i0, stride, count, cs);
+void rot_wave_f64(double* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const double* cs) {
+  rot_wave<Vec4F64>(q, ld, h, n, d, s0, m, cs);
 }
 
 }  // namespace tcevd::blas::simd::avx2

@@ -13,9 +13,10 @@
 //   * convert kernels: contiguous float buffers, src != dst allowed or
 //     src == dst (in-place); tails below the vector width run the scalar
 //     reference code path.
-//   * rotation sweeps: same arguments as blas::rot_sweep_scalar; lane r of
-//     each vector is row r of the rotated column pair, with separate mul and
-//     add, and rows past the last full vector run rot_pair_scalar.
+//   * rotation waves: same arguments as blas::rot_wave_scalar and the same
+//     wave order (blas::for_each_wave_rotation); lane r of each vector is row
+//     r of the rotated column pair, with separate mul and add, and rows past
+//     the last full vector run rot_pair_scalar.
 // These functions must only be CALLED after a cpuid probe says AVX2+F16C are
 // available (simd_dispatch.cpp owns that decision).
 #pragma once
@@ -48,11 +49,11 @@ void ec_split_fp16_buffer(const float* src, float* head, float* tail, index_t n,
 void ec_split_tf32_buffer(const float* src, float* head, float* tail, index_t n,
                           float scale);
 
-/// Vector twins of blas::rot_sweep_scalar (rot_kernel_scalar.hpp).
-void rot_sweep_f32(float* q, index_t ld, index_t h, index_t i0, index_t stride,
-                   index_t count, const float* cs);
-void rot_sweep_f64(double* q, index_t ld, index_t h, index_t i0, index_t stride,
-                   index_t count, const double* cs);
+/// Vector twins of blas::rot_wave_scalar (rot_kernel_scalar.hpp).
+void rot_wave_f32(float* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const float* cs);
+void rot_wave_f64(double* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const double* cs);
 
 }  // namespace tcevd::blas::simd::avx2
 

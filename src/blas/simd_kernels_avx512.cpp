@@ -14,6 +14,7 @@
 //      within [2^-48, 2^32]), so fma(a, b, c) = fl(fl(a*b) + c) — the
 //      reference's own rounding. tf32 operands keep fp32's exponent range (a
 //      product can underflow or overflow), so they never reach these entries.
+//      The rotation waves never fuse: their operands are full fp32/fp64.
 //   3. Hardware converts only where they match the software reference
 //      (VCVTPS2PH/VCVTPH2PS for fp16; tf32 is a masked-integer transcription
 //      of round_to_tf32). The dispatch self-check guards the whole family.
@@ -26,6 +27,7 @@
 #include <algorithm>
 
 #include "src/blas/gemm_microkernel_scalar.hpp"
+#include "src/blas/rot_wave_vec.hpp"
 #include "src/common/half.hpp"
 
 namespace tcevd::blas::simd::avx512 {
@@ -45,6 +47,8 @@ struct Vec16F32 {
   static V zero() { return _mm512_setzero_ps(); }
   static V set1(T v) { return _mm512_set1_ps(v); }
   static V load(const T* p) { return _mm512_load_ps(p); }
+  static V loadu(const T* p) { return _mm512_loadu_ps(p); }
+  static void storeu(T* p, V v) { _mm512_storeu_ps(p, v); }
   static V maskz_loadu(Mask m, const T* p) { return _mm512_maskz_loadu_ps(m, p); }
   static void mask_storeu(T* p, Mask m, V v) { _mm512_mask_storeu_ps(p, m, v); }
   static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
@@ -60,6 +64,8 @@ struct Vec8F64 {
   static V zero() { return _mm512_setzero_pd(); }
   static V set1(T v) { return _mm512_set1_pd(v); }
   static V load(const T* p) { return _mm512_load_pd(p); }
+  static V loadu(const T* p) { return _mm512_loadu_pd(p); }
+  static void storeu(T* p, V v) { _mm512_storeu_pd(p, v); }
   static V maskz_loadu(Mask m, const T* p) { return _mm512_maskz_loadu_pd(m, p); }
   static void mask_storeu(T* p, Mask m, V v) { _mm512_mask_storeu_pd(p, m, v); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
@@ -243,6 +249,70 @@ void ec_split_fp16_buffer(const float* src, float* head, float* tail, index_t n,
 void ec_split_tf32_buffer(const float* src, float* head, float* tail, index_t n,
                           float scale) {
   ec_split<round_tf32_vec>(src, head, tail, n, scale);
+}
+
+namespace {
+
+// Rotation waves: register-blocked passes of eight vectors of rows
+// (rot_wave_vec.hpp), a whole 512-byte panel column per pass, then one pass
+// over the row tail with its last vector masked.
+template <typename Vec, int NV>
+void rot_wave_tail(typename Vec::T* q, index_t ld, index_t rows, index_t n, index_t d,
+                   index_t s0, index_t m, const typename Vec::T* cs) {
+  using T = typename Vec::T;
+  using V = typename Vec::V;
+  using Mask = typename Vec::Mask;
+  const Mask last = static_cast<Mask>(lane_mask(rows - (NV - 1) * Vec::kWidth));
+  detail::rot_wave_pass<Vec, NV>(
+      q, ld, n, d, s0, m, cs,
+      [last](const T* p, int i) {
+        return i == NV - 1 ? Vec::maskz_loadu(last, p) : Vec::loadu(p);
+      },
+      [last](T* p, int i, V v) {
+        if (i == NV - 1) {
+          Vec::mask_storeu(p, last, v);
+        } else {
+          Vec::storeu(p, v);
+        }
+      });
+}
+
+template <typename Vec>
+void rot_wave(typename Vec::T* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+              index_t m, const typename Vec::T* cs) {
+  using T = typename Vec::T;
+  using V = typename Vec::V;
+  constexpr index_t w = Vec::kWidth;
+  constexpr int kBlock = 8;  // the tail switch below covers 1 .. kBlock vectors
+  index_t r = 0;
+  for (; r + kBlock * w <= h; r += kBlock * w) {
+    detail::rot_wave_pass<Vec, kBlock>(
+        q + r, ld, n, d, s0, m, cs, [](const T* p, int) { return Vec::loadu(p); },
+        [](T* p, int, V v) { Vec::storeu(p, v); });
+  }
+  switch ((h - r + w - 1) / w) {
+    case 1: rot_wave_tail<Vec, 1>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 2: rot_wave_tail<Vec, 2>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 3: rot_wave_tail<Vec, 3>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 4: rot_wave_tail<Vec, 4>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 5: rot_wave_tail<Vec, 5>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 6: rot_wave_tail<Vec, 6>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 7: rot_wave_tail<Vec, 7>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    case 8: rot_wave_tail<Vec, 8>(q + r, ld, h - r, n, d, s0, m, cs); break;
+    default: break;
+  }
+}
+
+}  // namespace
+
+void rot_wave_f32(float* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const float* cs) {
+  rot_wave<Vec16F32>(q, ld, h, n, d, s0, m, cs);
+}
+
+void rot_wave_f64(double* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const double* cs) {
+  rot_wave<Vec8F64>(q, ld, h, n, d, s0, m, cs);
 }
 
 }  // namespace tcevd::blas::simd::avx512

@@ -14,6 +14,9 @@
 //     whose packed operands are both fp16 values (exact products).
 //   * convert kernels: contiguous float buffers, src == dst (in place)
 //     allowed, and for the EC split head == src too; tails run masked.
+//   * rotation waves: same arguments and wave order as
+//     blas::rot_wave_scalar; lane r is row r of the rotated column pair,
+//     separate mul and add, the row tail masked.
 // These functions must only be CALLED after a cpuid probe says AVX-512F,
 // FMA, AVX2 and F16C are available (simd_dispatch.cpp owns that decision).
 #pragma once
@@ -48,6 +51,12 @@ void ec_split_fp16_buffer(const float* src, float* head, float* tail, index_t n,
                           float scale);
 void ec_split_tf32_buffer(const float* src, float* head, float* tail, index_t n,
                           float scale);
+
+/// Vector twins of blas::rot_wave_scalar (rot_kernel_scalar.hpp).
+void rot_wave_f32(float* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const float* cs);
+void rot_wave_f64(double* q, index_t ld, index_t h, index_t n, index_t d, index_t s0,
+                  index_t m, const double* cs);
 
 }  // namespace tcevd::blas::simd::avx512
 

@@ -9,14 +9,17 @@
 // SBR bandwidth b modest (the bulge-chasing stage scales with b) even though
 // larger b would make the SBR GEMMs squarer still.
 //
-// This header is the SERIAL driver — the bitwise reference. The wavefront-
-// parallel driver (bulge_wavefront.hpp) runs the identical rotation sequence
-// per sweep on the shared ThreadPool and is pinned bitwise-equal to this one
-// for every thread count; see DESIGN.md §14. Both drivers copy the band of
-// the caller's matrix once into compact storage (O(n b), bulge_kernels.hpp),
-// chase it there with the one rotation kernel, log each diagonal's rotations
-// and apply them to Q through QUpdate (q_update.hpp) once the diagonal is
-// chased; the serial driver applies them in place, on one lane.
+// This header is the SERIAL chase — the bitwise reference. It copies the band
+// of the caller's matrix once into compact storage (O(n b),
+// bulge_kernels.hpp), chases it there one diagonal at a time, logs each
+// diagonal's rotations and applies them to Q through QUpdate (q_update.hpp).
+// Without a pool, Q is updated in place on the calling thread after each
+// diagonal. With a pool, the Q update of diagonal d runs on packed row
+// panels across the pool's lanes while the caller's lane chases diagonal
+// d - 1 into a second log; the rows of Q see the same operations in the same
+// order, so d, e and Q are bitwise identical either way (DESIGN.md §14). The
+// values-only wavefront driver (bulge_wavefront.hpp) parallelizes the chase
+// itself.
 #pragma once
 
 #include <vector>
@@ -25,6 +28,7 @@
 
 namespace tcevd {
 class Context;
+class ThreadPool;
 }  // namespace tcevd
 
 namespace tcevd::bulge {
@@ -49,14 +53,22 @@ extern template BulgeResult<float> bulge_chase<float>(ConstMatrixView<float>, in
 extern template BulgeResult<double> bulge_chase<double>(ConstMatrixView<double>, index_t,
                                                         MatrixView<double>*);
 
-/// Context-aware entry points: same rotation-level algorithm, with the
-/// compact band and the rotation log in the context's workspace arena. The elapsed time lands on
-/// the context's telemetry under stage "bulge.chase", and the Q update's
-/// share of it under "bulge.q_update". Both instantiations are covered so
-/// the double reference pipelines are stage-attributed too.
+/// Context-aware entry points: the same chase, with the compact band, the
+/// rotation logs and the packed Q panels in the context's workspace arena.
+/// With Q and a pool (not called from a pool worker), the Q update runs on
+/// up to max_lanes lanes of `pool` (0 = pool size + 1, the caller's lane
+/// included), overlapped with the chase; the output is bitwise that of the
+/// in-place route. The elapsed time lands on the context's telemetry under
+/// stage "bulge.chase"; with Q, the chase's own time under
+/// "bulge.chase.sweep" and the Q update's under "bulge.q_update", once per
+/// call (under overlap the two run concurrently, see DESIGN.md §14). Both
+/// instantiations are covered so the double reference pipelines are
+/// stage-attributed too.
 BulgeResult<float> bulge_chase(Context& ctx, ConstMatrixView<float> a, index_t bw,
-                               MatrixView<float>* q = nullptr);
+                               MatrixView<float>* q = nullptr, ThreadPool* pool = nullptr,
+                               int max_lanes = 0);
 BulgeResult<double> bulge_chase(Context& ctx, ConstMatrixView<double> a, index_t bw,
-                                MatrixView<double>* q = nullptr);
+                                MatrixView<double>* q = nullptr, ThreadPool* pool = nullptr,
+                                int max_lanes = 0);
 
 }  // namespace tcevd::bulge

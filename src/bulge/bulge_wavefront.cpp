@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <new>
-#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -27,7 +26,6 @@ namespace {
 template <typename T>
 struct ChaseShared {
   detail::BandView<T> band;
-  T* log = nullptr;  // the diagonal's rotation log; null without Q
   index_t d = 0;
   index_t nsweeps = 0;
   index_t block = 1;   // sweeps per block (<= kMaxSweepBlock)
@@ -49,13 +47,9 @@ void run_block(ChaseShared<T>& st, index_t b) {
   const index_t nb = std::min(st.block, st.nsweeps - s0);
   index_t len[kMaxSweepBlock];
   index_t done[kMaxSweepBlock];
-  T* sweep_log[kMaxSweepBlock];
   for (index_t j = 0; j < nb; ++j) {
     len[j] = detail::sweep_length(st.band.n, st.d, s0 + j);
     done[j] = 0;
-    sweep_log[j] =
-        st.log != nullptr ? st.log + 2 * detail::sweep_offset(st.band.n, st.d, s0 + j)
-                          : nullptr;
   }
   const index_t prev_len = (s0 > 0) ? detail::sweep_length(st.band.n, st.d, s0 - 1) : 0;
   for (index_t h = st.chunk;; h += st.chunk) {
@@ -74,7 +68,7 @@ void run_block(ChaseShared<T>& st, index_t b) {
           }
         }
         for (index_t k = done[j]; k < target; ++k) {
-          detail::chase_elim(st.band, st.d, s0 + j, k, sweep_log[j]);
+          detail::chase_elim<T>(st.band, st.d, s0 + j, k, nullptr);
         }
         done[j] = target;
         // Release: the next block's acquire spin on this sweep must see every
@@ -104,22 +98,22 @@ void lane_trampoline(void* ctx, long /*lane_index*/) {
 }  // namespace
 
 template <typename T>
-std::size_t wavefront_workspace_bytes(index_t n, index_t bw, bool with_q) {
+std::size_t chase_workspace_bytes(index_t n, index_t bw, bool with_q) {
   const std::size_t count = static_cast<std::size_t>(n > 0 ? n : 1);
-  return detail::band_bytes<T>(n, bw) + count * sizeof(std::atomic<index_t>) +
-         Workspace::kAlignment + (with_q ? QUpdate<T>::workspace_bytes(n) : 0);
+  return detail::band_bytes<T>(n, bw) +
+         (with_q ? QUpdate<T>::workspace_bytes(n)
+                 : count * sizeof(std::atomic<index_t>) + Workspace::kAlignment);
 }
 
-template std::size_t wavefront_workspace_bytes<float>(index_t, index_t, bool);
-template std::size_t wavefront_workspace_bytes<double>(index_t, index_t, bool);
+template std::size_t chase_workspace_bytes<float>(index_t, index_t, bool);
+template std::size_t chase_workspace_bytes<double>(index_t, index_t, bool);
 
 template <typename T>
 BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t bw,
-                                     MatrixView<T>* q, const WavefrontOptions& opt) {
+                                     const WavefrontOptions& opt) {
   const index_t n = a.rows();
   TCEVD_CHECK(a.cols() == n, "bulge_chase_wavefront requires a square matrix");
   TCEVD_CHECK(bw >= 1, "bulge_chase_wavefront bandwidth must be >= 1");
-  if (q) TCEVD_CHECK(q->cols() == n, "bulge_chase_wavefront Q must have n columns");
 
   Timer total;
   Workspace::Scope scope(ctx.workspace());
@@ -141,10 +135,6 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t
     max_lanes = static_cast<long>(opt.pool->size()) + 1;
     if (opt.max_lanes > 0) max_lanes = std::min<long>(max_lanes, opt.max_lanes);
   }
-  std::optional<QUpdate<T>> qu;
-  if (q != nullptr) {
-    qu.emplace(*q, ctx.workspace(), &ctx.telemetry(), opt.pool, static_cast<int>(max_lanes));
-  }
 
   const index_t block = std::clamp<index_t>(opt.sweep_block, 1, kMaxSweepBlock);
   for (index_t d = std::min(bw, n - 1); d >= 2; --d) {
@@ -154,7 +144,6 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t
 
     ChaseShared<T> st;
     st.band = band;
-    st.log = qu ? qu->log() : nullptr;
     st.d = d;
     st.nsweeps = nsweeps;
     st.block = block;
@@ -174,10 +163,7 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t
     // applies the identical rotation sequence.
     if (!pooled) lane(st);
     ctx.telemetry().record_stage("bulge.chase.sweep", fanout.seconds());
-    // The join above published every log slot of diagonal d.
-    if (qu) qu->apply(d);
   }
-  if (qu) qu->finish();
 
   ctx.telemetry().record_stage("bulge.chase.wavefront", total.seconds());
   BulgeResult<T> out;
@@ -186,11 +172,9 @@ BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t
 }
 
 template BulgeResult<float> bulge_chase_wavefront<float>(Context&, ConstMatrixView<float>,
-                                                         index_t, MatrixView<float>*,
-                                                         const WavefrontOptions&);
+                                                         index_t, const WavefrontOptions&);
 template BulgeResult<double> bulge_chase_wavefront<double>(Context&, ConstMatrixView<double>,
-                                                           index_t, MatrixView<double>*,
-                                                           const WavefrontOptions&);
+                                                           index_t, const WavefrontOptions&);
 
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
@@ -209,15 +193,17 @@ BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                : "the matrix is too small (n <= 2)";
     recovery::note("evd.second_stage",
                    "bulge_threads = " + std::to_string(bulge_threads) +
-                       " requested but the wavefront cannot engage: " + why +
+                       " requested but the lanes cannot engage: " + why +
                        "; running the serial chase (bitwise-identical output)");
   }
-  const index_t min_n = q != nullptr ? kAutoWavefrontMinN : kAutoWavefrontMinNValuesOnly;
-  if (eligible && (forced || n >= min_n)) {
+  if (eligible && q != nullptr && (forced || n >= kAutoOverlapMinN)) {
+    return bulge_chase(ctx, a, bw, q, &gemm_pool(), forced ? bulge_threads : 0);
+  }
+  if (eligible && (forced || n >= kAutoWavefrontMinN)) {
     WavefrontOptions wopt;
     wopt.pool = &gemm_pool();
     if (forced) wopt.max_lanes = bulge_threads;
-    return bulge_chase_wavefront<T>(ctx, a, bw, q, wopt);
+    return bulge_chase_wavefront<T>(ctx, a, bw, wopt);
   }
   return bulge_chase(ctx, a, bw, q);
 }

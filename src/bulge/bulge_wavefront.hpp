@@ -1,4 +1,4 @@
-// Wavefront-parallel, cache-blocked bulge chasing.
+// Wavefront-parallel, cache-blocked bulge chasing (eigenvalues only).
 //
 // The serial chase (bulge_chasing.hpp) runs the sweeps of each diagonal one
 // after another; this driver pipelines them. Consecutive sweeps are grouped
@@ -17,10 +17,12 @@
 // so ANY schedule respecting it — any lane count, block size, or tile height
 // — applies the exact serial rotation sequence to every band entry, and the
 // tridiagonal d/e is bitwise-equal to bulge_chase for every thread count.
-// The lanes log each elimination's rotation into a slot fixed by (s, k);
-// after each diagonal's join, QUpdate (q_update.hpp) applies the log to
-// lane-private packed row blocks of Q on the same pool, so the accumulated Q
-// is bitwise-equal too. The test suite pins both.
+// The test suite pins it.
+//
+// With Q the second stage takes the serial chase instead, overlapped with a
+// parallel Q update (bulge_chasing.hpp): the Q update is the larger share of
+// the work, and the serial chase of one diagonal is faster than the
+// wavefront's handshakes. bulge_chase_auto below picks the route.
 #pragma once
 
 #include <cstddef>
@@ -49,65 +51,68 @@ struct WavefrontOptions {
   /// not depend on it. The defaults (4, 32) chased an n = 1024, b = 32 fp32
   /// band without Q in 63-76 ms on four lanes, against 77-87 ms for (8, 192).
   index_t tile_rows = 32;
-  /// Cap on broadcast lanes, for the chase and for the Q update's row
-  /// blocks; 0 means pool size + 1 (the caller participates).
+  /// Cap on broadcast lanes; 0 means pool size + 1 (the caller participates).
   int max_lanes = 0;
 };
 
-/// Upper bound on the context-workspace bytes bulge_chase_wavefront<T>
-/// checks out for an n x n problem of bandwidth bw: the compact band, the
-/// progress vector and, with Q, the rotation log and the packed Q row
-/// blocks. It also bounds the Context overload of the serial bulge_chase.
+/// Upper bound on the context-workspace bytes any second-stage route
+/// (bulge_chase_auto) checks out for an n x n problem of bandwidth bw: the
+/// compact band plus, without Q, the wavefront's progress vector or, with Q,
+/// the rotation logs and the packed Q panels (QUpdate::workspace_bytes).
 /// Add it to lwork-style reservations alongside evd/sbr workspace_query.
 template <typename T>
-std::size_t wavefront_workspace_bytes(index_t n, index_t bw, bool with_q);
+std::size_t chase_workspace_bytes(index_t n, index_t bw, bool with_q);
 
-extern template std::size_t wavefront_workspace_bytes<float>(index_t, index_t, bool);
-extern template std::size_t wavefront_workspace_bytes<double>(index_t, index_t, bool);
+extern template std::size_t chase_workspace_bytes<float>(index_t, index_t, bool);
+extern template std::size_t chase_workspace_bytes<double>(index_t, index_t, bool);
 
 /// Hard cap on WavefrontOptions::sweep_block (per-lane stack state is sized
 /// by it).
 inline constexpr index_t kMaxSweepBlock = 32;
 
 /// Reduce symmetric band `a` (full storage, bandwidth `bw`; read, not
-/// written) to tridiagonal, bitwise-equal to bulge_chase(a, bw, q) for every
+/// written) to tridiagonal, bitwise-equal to bulge_chase(a, bw) for every
 /// pool / lane count / blocking choice. Elapsed time lands on the context
-/// telemetry under "bulge.chase.wavefront" (total), "bulge.chase.sweep"
-/// (summed per-diagonal fan-out windows) and, with Q, "bulge.q_update" (the
-/// Q update). Compact band, progress state, rotation log and packed Q blocks
-/// live in the context workspace arena — steady-state calls allocate nothing.
+/// telemetry under "bulge.chase.wavefront" (total) and "bulge.chase.sweep"
+/// (summed per-diagonal fan-out windows). Compact band and progress state
+/// live in the context workspace arena — steady-state calls allocate
+/// nothing.
 template <typename T>
 BulgeResult<T> bulge_chase_wavefront(Context& ctx, ConstMatrixView<T> a, index_t bw,
-                                     MatrixView<T>* q = nullptr,
                                      const WavefrontOptions& opt = {});
 
-extern template BulgeResult<float> bulge_chase_wavefront<float>(
-    Context&, ConstMatrixView<float>, index_t, MatrixView<float>*, const WavefrontOptions&);
-extern template BulgeResult<double> bulge_chase_wavefront<double>(
-    Context&, ConstMatrixView<double>, index_t, MatrixView<double>*, const WavefrontOptions&);
+extern template BulgeResult<float> bulge_chase_wavefront<float>(Context&,
+                                                                ConstMatrixView<float>,
+                                                                index_t,
+                                                                const WavefrontOptions&);
+extern template BulgeResult<double> bulge_chase_wavefront<double>(Context&,
+                                                                  ConstMatrixView<double>,
+                                                                  index_t,
+                                                                  const WavefrontOptions&);
 
-/// Smallest n the auto route (bulge_threads == 0) fans out when the chase
-/// accumulates Q: below it the per-diagonal broadcast join overhead beats
-/// the parallel Q update. Measured with bench_bulge at bw = 32 on four lanes
-/// (EXPERIMENTS.md): the serial chase wins at n = 256, the wavefront from
-/// n = 384.
-inline constexpr index_t kAutoWavefrontMinN = 384;
+/// Smallest n the auto route (bulge_threads == 0) fans the values-only
+/// chase out at. On compact storage one elimination is a few hundred flops,
+/// so the lanes' progress handshakes cost as much as the work: at bw = 32 on
+/// four lanes the serial chase wins through n = 1024 and breaks even near
+/// n = 2048.
+inline constexpr index_t kAutoWavefrontMinN = 2048;
 
-/// The same threshold for a values-only chase (q == nullptr). On compact
-/// storage one elimination is a few hundred flops, so the lanes' progress
-/// handshakes cost as much as the work: at bw = 32 on four lanes the serial
-/// chase wins through n = 1024 and breaks even near n = 2048.
-inline constexpr index_t kAutoWavefrontMinNValuesOnly = 2048;
+/// The same threshold with Q, for the overlapped route: its one broadcast
+/// per diagonal costs more than the whole in-place Q update of a small Q.
+/// Measured with bench_bulge at bw = 32 on four lanes (EXPERIMENTS.md): one
+/// lane wins at n = 48, the two tie at n = 96, the lanes win from n = 128.
+inline constexpr index_t kAutoOverlapMinN = 128;
 
 /// Routing shim for the solver drivers (EvdOptions::bulge_threads): 1 forces
-/// the serial chase, >= 2 forces the wavefront on gemm_pool() capped at that
-/// many lanes, anything else picks the wavefront automatically when the
-/// problem is big enough (kAutoWavefrontMinN with Q,
-/// kAutoWavefrontMinNValuesOnly without), the band is chaseable (bw >= 2),
-/// and the caller is not itself a pool worker (solve_many workers are the
-/// parallelism — fanning out under them would only add spin overhead).
-/// Output is bitwise-identical across every setting. Like both drivers it
-/// reads `a` and leaves it unchanged.
+/// one lane (the serial chase, Q updated in place); >= 2 forces the lanes of
+/// gemm_pool(), capped at that many: with Q the serial chase overlapped with
+/// the Q update on packed panels, without Q the wavefront. Anything else
+/// picks the lanes automatically when the band is chaseable (bw >= 2), the
+/// caller is not itself a pool worker (solve_many workers are the
+/// parallelism — fanning out under them would only add spin overhead) and
+/// n >= kAutoOverlapMinN with Q, n >= kAutoWavefrontMinN without. Output
+/// is bitwise-identical across every setting. Like both drivers it reads
+/// `a` and leaves it unchanged.
 template <typename T>
 BulgeResult<T> bulge_chase_auto(Context& ctx, MatrixView<T> a, index_t bw,
                                 MatrixView<T>* q, int bulge_threads);

@@ -4,6 +4,10 @@
 #include <memory>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "src/common/check.hpp"
 
 namespace tcevd {
@@ -221,6 +225,14 @@ void spin_wait_hint(int& backoff) noexcept {
 }
 
 int ThreadPool::hardware_threads() noexcept {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int usable = CPU_COUNT(&set);
+    if (usable > 0) return usable;
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -91,7 +91,11 @@ class ThreadPool {
   /// under solve_many workers / look-ahead run_pair tasks never oversubscribe.
   static bool on_worker_thread() noexcept;
 
-  /// std::thread::hardware_concurrency with a sane floor of 1.
+  /// CPUs the calling thread may run on: the size of its affinity mask
+  /// (sched_getaffinity), so a process pinned by taskset or a cpuset sizes
+  /// its pools to the cores it has, not the machine's. Falls back to
+  /// std::thread::hardware_concurrency where the mask is unavailable, with
+  /// a floor of 1.
   static int hardware_threads() noexcept;
 
  private:

@@ -586,12 +586,12 @@ std::size_t workspace_query(index_t n, const EvdOptions& opt) {
   const std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   // Reduction stage: SBR arena peak, or the one-stage n x n scratch.
   std::size_t bytes = std::max(sbr::workspace_query(n, sopt), nn * sizeof(float));
-  // Bulge stage: compact band, progress vector, rotation log and packed Q
-  // blocks. It runs after the reduction released its checkouts, on the same
-  // arena region.
+  // Bulge stage: compact band plus the progress vector, or the rotation logs
+  // and packed Q panels. It runs after the reduction released its checkouts,
+  // on the same arena region.
   if (opt.reduction != Reduction::OneStage)
     bytes = std::max(bytes,
-                     bulge::wavefront_workspace_bytes<float>(n, sopt.bandwidth, opt.vectors));
+                     bulge::chase_workspace_bytes<float>(n, sopt.bandwidth, opt.vectors));
   // Solver-fallback restore point (q0) + bisection inverse-iteration S and
   // the z*S product buffer.
   bytes += 3 * nn * sizeof(float);

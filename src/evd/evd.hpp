@@ -57,18 +57,19 @@ struct EvdOptions {
   sbr::PanelKind panel = sbr::PanelKind::Tsqr;
   bool vectors = false;                         ///< compute eigenvectors
   /// Threading of the second stage, which chases the band on compact
-  /// O(n*b) storage. 0 = auto: the wavefront engine
-  /// (src/bulge/bulge_wavefront.hpp) on the shared gemm_pool() when the
-  /// problem is big enough (n >= 384 with vectors, n >= 2048 without; band
-  /// >= 2) and the caller is not itself a pool worker (solve_many workers
-  /// keep the serial chase — they ARE the parallelism). 1 = always the
-  /// serial chase.
-  /// k >= 2 = wavefront with at most k lanes. Every setting produces
-  /// bitwise-identical output — the wavefront schedule is pinned to the
-  /// serial rotation sequence (DESIGN.md §14) — so this is a performance
-  /// knob, never an accuracy one. An explicit k >= 2 that cannot engage
-  /// (pool worker, bandwidth < 2, or n <= 2) runs the serial chase and notes
-  /// the downgrade in EvdResult::recovery at site "evd.second_stage".
+  /// O(n*b) storage (src/bulge/bulge_wavefront.hpp, bulge_chase_auto).
+  /// 0 = auto: lanes of the shared gemm_pool() when the band is >= 2 wide
+  /// and the caller is not itself a pool worker (solve_many workers keep one
+  /// lane — they ARE the parallelism). With vectors the lanes engage from
+  /// n >= 128 and update Q's packed panels while the caller's lane chases
+  /// the next diagonal; without vectors the wavefront chase engages from
+  /// n >= 2048. 1 = always one lane
+  /// (the serial chase, Q updated in place). k >= 2 = at most k lanes.
+  /// Every setting produces bitwise-identical output (DESIGN.md §14), so
+  /// this is a performance knob, never an accuracy one. An explicit k >= 2
+  /// that cannot engage (pool worker, bandwidth < 2, or n <= 2) runs one
+  /// lane and notes the downgrade in EvdResult::recovery at site
+  /// "evd.second_stage".
   int bulge_threads = 0;
   /// Forwarded to SbrOptions::lookahead for the TwoStageWy and TwoStageDbr
   /// reductions: overlap each big block's panel factorization with the

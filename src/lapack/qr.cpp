@@ -1,31 +1,36 @@
 #include "src/lapack/qr.hpp"
 
+#include <algorithm>
+
 #include "src/blas/blas.hpp"
 #include "src/lapack/householder.hpp"
 
 namespace tcevd::lapack {
 
 template <typename T>
-void geqr2(MatrixView<T> a, std::vector<T>& tau) {
+void geqr2(MatrixView<T> a, T* tau, T* work) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   const index_t k = std::min(m, n);
-  tau.assign(static_cast<std::size_t>(std::max<index_t>(k, 0)), T{});
-  std::vector<T> work(static_cast<std::size_t>(n));
-
   for (index_t j = 0; j < k; ++j) {
     T& alpha = a(j, j);
     T* x = (j + 1 < m) ? &a(j + 1, j) : nullptr;
-    tau[static_cast<std::size_t>(j)] = larfg(m - j, alpha, x, 1);
+    tau[j] = larfg(m - j, alpha, x, 1);
     if (j + 1 < n) {
       // Apply H to the trailing columns; v lives in a(j:, j) with v(0)=1.
       const T saved = a(j, j);
       a(j, j) = T{1};
-      larf_left(&a(j, j), 1, tau[static_cast<std::size_t>(j)],
-                a.sub(j, j + 1, m - j, n - j - 1), work.data());
+      larf_left(&a(j, j), 1, tau[j], a.sub(j, j + 1, m - j, n - j - 1), work);
       a(j, j) = saved;
     }
   }
+}
+
+template <typename T>
+void geqr2(MatrixView<T> a, std::vector<T>& tau) {
+  tau.assign(static_cast<std::size_t>(std::max<index_t>(std::min(a.rows(), a.cols()), 0)), T{});
+  std::vector<T> work(static_cast<std::size_t>(a.cols()));
+  geqr2(a, tau.data(), work.data());
 }
 
 template <typename T>
@@ -99,21 +104,25 @@ void geqrf(MatrixView<T> a, std::vector<T>& tau, index_t nb) {
 }
 
 template <typename T>
-void orgqr(MatrixView<T> a, const std::vector<T>& tau, MatrixView<T> q) {
+void orgqr(MatrixView<T> a, const T* tau, index_t k, MatrixView<T> q, T* work) {
   const index_t m = a.rows();
-  const index_t k = static_cast<index_t>(tau.size());
   const index_t n = q.cols();
   TCEVD_CHECK(q.rows() == m && n <= m, "orgqr output shape invalid");
   set_identity(q);
-  std::vector<T> work(static_cast<std::size_t>(std::max(m, n)));
-  // Q = H(0) H(1) ... H(k-1) * I: apply reflectors from the last to the first.
+  // Q = H(0) H(1) ... H(k-1) * I: apply reflectors from the last to the
+  // first; v lives in a(j:, j) with v(0) = 1, as in geqr2.
   for (index_t j = k - 1; j >= 0; --j) {
-    std::vector<T> v(static_cast<std::size_t>(m - j));
-    v[0] = T{1};
-    for (index_t i = j + 1; i < m; ++i) v[static_cast<std::size_t>(i - j)] = a(i, j);
-    larf_left(v.data(), 1, tau[static_cast<std::size_t>(j)], q.sub(j, 0, m - j, n),
-              work.data());
+    const T saved = a(j, j);
+    a(j, j) = T{1};
+    larf_left(&a(j, j), 1, tau[j], q.sub(j, 0, m - j, n), work);
+    a(j, j) = saved;
   }
+}
+
+template <typename T>
+void orgqr(MatrixView<T> a, const std::vector<T>& tau, MatrixView<T> q) {
+  std::vector<T> work(static_cast<std::size_t>(std::max(a.rows(), q.cols())));
+  orgqr(a, tau.data(), static_cast<index_t>(tau.size()), q, work.data());
 }
 
 template <typename T>
@@ -136,9 +145,11 @@ void build_wy(ConstMatrixView<T> a, const std::vector<T>& tau, MatrixView<T> w,
 }
 
 #define TCEVD_QR_INST(T)                                                       \
+  template void geqr2<T>(MatrixView<T>, T*, T*);                               \
   template void geqr2<T>(MatrixView<T>, std::vector<T>&);                      \
   template void larft<T>(ConstMatrixView<T>, const T*, MatrixView<T>);         \
   template void geqrf<T>(MatrixView<T>, std::vector<T>&, index_t);             \
+  template void orgqr<T>(MatrixView<T>, const T*, index_t, MatrixView<T>, T*);  \
   template void orgqr<T>(MatrixView<T>, const std::vector<T>&, MatrixView<T>); \
   template void build_wy<T>(ConstMatrixView<T>, const std::vector<T>&, MatrixView<T>, \
                             MatrixView<T>);

@@ -15,6 +15,9 @@ namespace tcevd::lapack {
 /// implicit); `tau` receives min(m,n) scalar factors.
 template <typename T>
 void geqr2(MatrixView<T> a, std::vector<T>& tau);
+/// Same, allocation-free: `tau` holds min(m,n) entries, `work` n.
+template <typename T>
+void geqr2(MatrixView<T> a, T* tau, T* work);
 
 /// Form the k x k upper-triangular T of the forward compact-WY product
 /// H(0) H(1) ... H(k-1) = I - V T V^T from the vectors in `v` (unit lower
@@ -30,6 +33,11 @@ void geqrf(MatrixView<T> a, std::vector<T>& tau, index_t nb = 32);
 /// output (first k reflectors).
 template <typename T>
 void orgqr(MatrixView<T> a, const std::vector<T>& tau, MatrixView<T> q);
+/// Same, allocation-free: the first k reflectors, `work` of max(m, n)
+/// entries. The diagonal of `a` is overwritten while a reflector is applied
+/// and restored after it, so `a` is unchanged on return.
+template <typename T>
+void orgqr(MatrixView<T> a, const T* tau, index_t k, MatrixView<T> q, T* work);
 
 /// Extract Y (unit lower trapezoidal copy of the reflectors in `a`) and
 /// compute W = Y * T so that H(0)...H(k-1) = I - W Y^T.
@@ -39,9 +47,11 @@ void build_wy(ConstMatrixView<T> a, const std::vector<T>& tau, MatrixView<T> w,
 
 #define TCEVD_QR_EXTERN(T)                                                       \
   extern template void geqr2<T>(MatrixView<T>, std::vector<T>&);                 \
+  extern template void geqr2<T>(MatrixView<T>, T*, T*);                          \
   extern template void larft<T>(ConstMatrixView<T>, const T*, MatrixView<T>);    \
   extern template void geqrf<T>(MatrixView<T>, std::vector<T>&, index_t);        \
   extern template void orgqr<T>(MatrixView<T>, const std::vector<T>&, MatrixView<T>); \
+  extern template void orgqr<T>(MatrixView<T>, const T*, index_t, MatrixView<T>, T*);   \
   extern template void build_wy<T>(ConstMatrixView<T>, const std::vector<T>&,    \
                                    MatrixView<T>, MatrixView<T>);
 

@@ -1,7 +1,7 @@
 #include "src/tsqr/tsqr.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/blas/blas.hpp"
 #include "src/common/context.hpp"
@@ -12,7 +12,8 @@ namespace tcevd::tsqr {
 
 namespace {
 
-/// Leaf: ordinary Householder QR producing explicit Q and R.
+/// Leaf: ordinary Householder QR producing explicit Q and R. The factors,
+/// tau and the reflector scratch all come from the workspace arena.
 template <typename T>
 void leaf_qr(Workspace& ws, ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T> r) {
   const index_t m = a.rows();
@@ -20,11 +21,12 @@ void leaf_qr(Workspace& ws, ConstMatrixView<T> a, MatrixView<T> q, MatrixView<T>
   auto scope = ws.scope();
   auto work = scope.matrix<T>(m, n);
   copy_matrix(a, work);
-  std::vector<T> tau;
-  lapack::geqr2(work, tau);
+  T* tau = scope.alloc<T>(static_cast<std::size_t>(n));
+  T* scratch = scope.alloc<T>(static_cast<std::size_t>(std::max(m, n)));
+  lapack::geqr2(work, tau, scratch);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) r(i, j) = (i <= j) ? work(i, j) : T{};
-  lapack::orgqr(work, tau, q);
+  lapack::orgqr(work, tau, n, q, scratch);
 }
 
 /// Recursive TSQR: split rows, factor halves, combine [R1; R2] and fold the

@@ -6,6 +6,10 @@
 
 #include <cmath>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "src/common/context.hpp"
 #include "src/common/fault.hpp"
 #include "src/common/norms.hpp"
@@ -419,6 +423,31 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
   EXPECT_EQ(pool.size(), 1);
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
 }
+
+#ifdef __linux__
+// The shared pools are sized from the CPU affinity mask, so a process pinned
+// to fewer cores (taskset, a cpuset) does not oversubscribe them. Narrow
+// only this thread's mask to one CPU, read the count, and restore the mask.
+TEST(ThreadPool, HardwareThreadsFollowsAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  const int before = ThreadPool::hardware_threads();
+  EXPECT_EQ(before, CPU_COUNT(&saved));
+  int first = -1;
+  for (int c = 0; c < CPU_SETSIZE && first < 0; ++c)
+    if (CPU_ISSET(c, &saved)) first = c;
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) != 0)
+    GTEST_SKIP() << "this thread's affinity cannot be narrowed here";
+  const int narrowed = ThreadPool::hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(ThreadPool::hardware_threads(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace tcevd

@@ -1,20 +1,24 @@
-// Bulge chasing band -> tridiagonal: the serial reference chase and the
-// wavefront-parallel engine, which is pinned BITWISE-equal to serial (d, e,
-// and accumulated Q) for every shape, thread count, and blocking choice —
-// the parallel schedule only commutes rotation pairs with disjoint
-// footprints (DESIGN.md §14), so any arithmetic divergence is a scheduler
-// bug, not roundoff. The Q update that replays the chase's rotation logs is
-// pinned BITWISE-equal to a naive per-rotation replay for every lane count.
+// Bulge chasing band -> tridiagonal: the serial reference chase, the
+// values-only wavefront engine, and the overlapped route (serial chase, Q
+// update on packed panels across pool lanes). Both parallel routes are
+// pinned BITWISE-equal to serial (d, e, and accumulated Q) for every shape,
+// thread count, and blocking choice — their schedules only commute rotation
+// pairs with disjoint footprints (DESIGN.md §14), so any arithmetic
+// divergence is a scheduler bug, not roundoff. The Q update that replays the
+// chase's rotation logs in waves is pinned BITWISE-equal to a naive
+// per-rotation replay in both layouts and at every kernel level.
 // The chase on compact band storage is checked against a textbook
 // full-storage Givens chase kept here as an oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -170,8 +174,8 @@ TEST(Bulge, DiagonalMatrixIsFixedPoint) {
 // The second stage holds the band in O(n b) storage, not the n x n matrix:
 // 4x the order is at most 4x the bytes (a full matrix would be 16x).
 TEST(Bulge, WorkspaceIsLinearInN) {
-  const std::size_t small = bulge::wavefront_workspace_bytes<float>(1000, 16, false);
-  const std::size_t big = bulge::wavefront_workspace_bytes<float>(4000, 16, false);
+  const std::size_t small = bulge::chase_workspace_bytes<float>(1000, 16, false);
+  const std::size_t big = bulge::chase_workspace_bytes<float>(4000, 16, false);
   EXPECT_LE(big, 4 * small);
   EXPECT_LT(big, 4000ull * 4000ull * 4ull / 50ull);
 }
@@ -454,45 +458,34 @@ TEST(CompactSecondStage, ServesVectorRequestsWithoutNote) {
 }
 
 // ---------------------------------------------------------------------------
-// Wavefront engine: bitwise equality with the serial reference.
+// Wavefront engine (values only): bitwise equality with the serial reference.
 // ---------------------------------------------------------------------------
 
 /// Run the serial chase and the wavefront chase on the same band matrix and
-/// require element-exact agreement of the tridiagonal (d, e) and (when
-/// requested) the accumulated Q.
+/// require element-exact agreement of the tridiagonal (d, e).
 template <typename T>
-void expect_wavefront_bitwise(index_t n, index_t bw, bool with_q,
-                              const bulge::WavefrontOptions& wopt, std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw << " with_q=" << with_q
+void expect_wavefront_bitwise(index_t n, index_t bw, const bulge::WavefrontOptions& wopt,
+                              std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw
                                     << " lanes=" << wopt.max_lanes
                                     << " block=" << wopt.sweep_block
                                     << " tile_rows=" << wopt.tile_rows);
   const auto a = random_band<T>(n, bw, seed);
-
-  Matrix<T> q_serial(n, n), q_wave(n, n);
-  set_identity(q_serial.view());
-  set_identity(q_wave.view());
-  auto qs = q_serial.view();
-  auto ref = bulge::bulge_chase<T>(a.view(), bw, with_q ? &qs : nullptr);
+  auto ref = bulge::bulge_chase<T>(a.view(), bw);
 
   tc::Fp32Engine eng;
   Context ctx(eng);
-  auto qw = q_wave.view();
-  auto got = bulge::bulge_chase_wavefront<T>(ctx, a.view(), bw, with_q ? &qw : nullptr, wopt);
+  auto got = bulge::bulge_chase_wavefront<T>(ctx, a.view(), bw, wopt);
 
   ASSERT_EQ(ref.d.size(), got.d.size());
   ASSERT_EQ(ref.e.size(), got.e.size());
   for (std::size_t i = 0; i < ref.d.size(); ++i) EXPECT_EQ(ref.d[i], got.d[i]) << "d[" << i << "]";
   for (std::size_t i = 0; i < ref.e.size(); ++i) EXPECT_EQ(ref.e[i], got.e[i]) << "e[" << i << "]";
-  if (with_q) {
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < n; ++i)
-        EXPECT_EQ(q_serial(i, j), q_wave(i, j)) << "Q(" << i << "," << j << ")";
-  }
 }
 
 /// One shared pool for the whole binary: 7 workers + the broadcasting caller
-/// = up to 8 lanes, capped per-case via WavefrontOptions::max_lanes.
+/// = up to 8 lanes, capped per-case via WavefrontOptions::max_lanes or the
+/// overlapped route's max_lanes.
 ThreadPool& bulge_test_pool() {
   static ThreadPool pool(7);
   return pool;
@@ -501,7 +494,7 @@ ThreadPool& bulge_test_pool() {
 class BulgeWavefrontBitwise : public ::testing::TestWithParam<index_t> {};
 
 // Edge/odd/prime/pow2 sizes x bandwidths (1 = no-op, 2 = the DBR narrow-band
-// shape, 3, 8, n-1 = full) x lane counts {1, 2, 8}, with and without Q.
+// shape, 3, 8, n-1 = full) x lane counts {1, 2, 8}.
 TEST_P(BulgeWavefrontBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
   const index_t n = GetParam();
   std::vector<index_t> bws = {1, 2, 3, 8};
@@ -513,8 +506,7 @@ TEST_P(BulgeWavefrontBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
       bulge::WavefrontOptions wopt;
       wopt.pool = &bulge_test_pool();
       wopt.max_lanes = lanes;
-      expect_wavefront_bitwise<double>(n, bw, /*with_q=*/false, wopt, seed);
-      expect_wavefront_bitwise<double>(n, bw, /*with_q=*/true, wopt, ++seed);
+      expect_wavefront_bitwise<double>(n, bw, wopt, ++seed);
     }
   }
 }
@@ -525,8 +517,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BulgeWavefrontBitwise,
 TEST(BulgeWavefront, FloatMatchesSerialBitwise) {
   bulge::WavefrontOptions wopt;
   wopt.pool = &bulge_test_pool();
-  expect_wavefront_bitwise<float>(129, 8, /*with_q=*/true, wopt, 42);
-  expect_wavefront_bitwise<float>(257, 2, /*with_q=*/true, wopt, 43);
+  expect_wavefront_bitwise<float>(129, 8, wopt, 42);
+  expect_wavefront_bitwise<float>(257, 2, wopt, 43);
 }
 
 // Output must be invariant under every cache-blocking choice: the sweep-set
@@ -539,10 +531,8 @@ TEST(BulgeWavefront, BlockingChoicesDoNotChangeOutput) {
       wopt.pool = &bulge_test_pool();
       wopt.sweep_block = sweep_block;
       wopt.tile_rows = tile_rows;
-      for (const bool with_q : {false, true}) {
-        expect_wavefront_bitwise<double>(129, 3, with_q, wopt, 77);
-        expect_wavefront_bitwise<double>(97, 8, with_q, wopt, 78);
-      }
+      expect_wavefront_bitwise<double>(129, 3, wopt, 77);
+      expect_wavefront_bitwise<double>(97, 8, wopt, 78);
     }
   }
 }
@@ -551,7 +541,7 @@ TEST(BulgeWavefront, BlockingChoicesDoNotChangeOutput) {
 // exact serial rotation sequence.
 TEST(BulgeWavefront, NullPoolRunsInline) {
   bulge::WavefrontOptions wopt;  // pool == nullptr
-  expect_wavefront_bitwise<double>(64, 8, /*with_q=*/true, wopt, 5);
+  expect_wavefront_bitwise<double>(64, 8, wopt, 5);
 }
 
 // The double Context overload must exist and attribute its time to the
@@ -581,7 +571,7 @@ TEST(BulgeWavefront, RecordsWavefrontStages) {
   auto a = random_band<double>(64, 8, 13);
   bulge::WavefrontOptions wopt;
   wopt.pool = &bulge_test_pool();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), 8, nullptr, wopt);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), 8, wopt);
   EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase.wavefront"), 0.0);
   // One fan-out window per peeled diagonal: d = 8 .. 2.
   for (const auto& s : ctx.telemetry().stages()) {
@@ -590,19 +580,123 @@ TEST(BulgeWavefront, RecordsWavefrontStages) {
     }
     EXPECT_NE(s.name, "bulge.q_update") << "no Q, yet the Q update was timed";
   }
+}
 
-  // With Q, the Q update's time is split out beside the sweeps.
-  Context ctx_q(eng);
-  auto b = random_band<double>(64, 8, 13);
-  Matrix<double> q(64, 64);
-  set_identity(q.view());
-  auto qv = q.view();
-  (void)bulge::bulge_chase_wavefront<double>(ctx_q, b.view(), 8, &qv, wopt);
-  long q_calls = 0;
-  for (const auto& s : ctx_q.telemetry().stages())
-    if (s.name == "bulge.q_update") q_calls += s.calls;
-  EXPECT_EQ(q_calls, 1);
-  EXPECT_GT(ctx_q.telemetry().stage_seconds("bulge.q_update"), 0.0);
+// ---------------------------------------------------------------------------
+// Overlapped route: the serial chase of diagonal d - 1 beside the Q update of
+// diagonal d on packed panels, bitwise equal to the in-place serial chase.
+// ---------------------------------------------------------------------------
+
+/// The serial chase with Q updated in place (no pool) against the same
+/// chase with the Q update overlapped on `pool` (at most `lanes` lanes):
+/// d, e and every element of Q must agree exactly.
+template <typename T>
+void expect_overlap_bitwise(index_t n, index_t bw, ThreadPool* pool, int lanes,
+                            std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " bw=" << bw << " lanes=" << lanes);
+  const auto a = random_band<T>(n, bw, seed);
+  Matrix<T> q_serial(n, n), q_over(n, n);
+  set_identity(q_serial.view());
+  set_identity(q_over.view());
+  auto qs = q_serial.view();
+  auto ref = bulge::bulge_chase<T>(a.view(), bw, &qs);
+
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  auto qo = q_over.view();
+  auto got = bulge::bulge_chase(ctx, a.view(), bw, &qo, pool, lanes);
+
+  EXPECT_EQ(ref.d, got.d);
+  EXPECT_EQ(ref.e, got.e);
+  EXPECT_EQ(std::memcmp(q_serial.data(), q_over.data(),
+                        sizeof(T) * static_cast<std::size_t>(n * n)),
+            0);
+}
+
+class BulgeOverlapBitwise : public ::testing::TestWithParam<index_t> {};
+
+// Sizes around the panel heights (32 doubles, 64 floats) and below, every
+// bandwidth class, lane counts 1 (in place), 2, 3 and 5.
+TEST_P(BulgeOverlapBitwise, MatchesSerialAcrossBandwidthsAndLanes) {
+  const index_t n = GetParam();
+  std::vector<index_t> bws = {1, 2, 3, 8};
+  if (n > 1) bws.push_back(n - 1);
+  std::uint64_t seed = 3000 + static_cast<std::uint64_t>(n);
+  for (index_t bw : bws) {
+    if (bw < 1 || bw > std::max<index_t>(n - 1, 1)) continue;
+    for (int lanes : {1, 2, 3, 5}) {
+      expect_overlap_bitwise<double>(n, bw, &bulge_test_pool(), lanes, ++seed);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BulgeOverlapBitwise,
+                         ::testing::Values<index_t>(1, 2, 3, 7, 31, 64, 129, 257));
+
+TEST(BulgeOverlap, FloatMatchesSerialBitwise) {
+  expect_overlap_bitwise<float>(129, 8, &bulge_test_pool(), 0, 42);
+  expect_overlap_bitwise<float>(257, 2, &bulge_test_pool(), 3, 43);
+  expect_overlap_bitwise<float>(200, 32, &bulge_test_pool(), 5, 44);
+}
+
+// A pool already running another broadcast declines every step of the
+// chase: the caller runs each step's indices in order — the chase, then
+// every panel — with the same bits.
+TEST(BulgeOverlap, BusyPoolDeclinesAndRunsInline) {
+  ThreadPool pool(3);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  struct Hold {
+    std::atomic<bool>* entered;
+    std::atomic<bool>* release;
+  } hold{&entered, &release};
+  std::thread holder([&] {
+    (void)pool.try_broadcast(
+        1,
+        [](void* ctx, long) {
+          auto* h = static_cast<Hold*>(ctx);
+          h->entered->store(true);
+          while (!h->release->load()) std::this_thread::yield();
+        },
+        &hold);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  expect_overlap_bitwise<double>(97, 8, &pool, 4, 91);
+  expect_overlap_bitwise<float>(130, 3, &pool, 4, 92);
+  release.store(true);
+  holder.join();
+}
+
+// A caller that is itself a pool worker (solve_many, the service) keeps one
+// lane: the in-place route, same bits.
+TEST(BulgeOverlap, PoolWorkerCallerRunsInPlace) {
+  ThreadPool outer(1);
+  outer.parallel_for(1, [](int, long) {
+    expect_overlap_bitwise<double>(97, 8, &bulge_test_pool(), 4, 93);
+  });
+}
+
+TEST(BulgeOverlap, RecordsChaseAndQUpdateStages) {
+  tc::Fp32Engine eng;
+  auto a = random_band<double>(64, 8, 13);
+  for (const int lanes : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    Context ctx(eng);
+    Matrix<double> q(64, 64);
+    set_identity(q.view());
+    auto qv = q.view();
+    (void)bulge::bulge_chase(ctx, a.view(), 8, &qv, &bulge_test_pool(), lanes);
+    long q_calls = 0;
+    long sweep_calls = 0;
+    for (const auto& s : ctx.telemetry().stages()) {
+      if (s.name == "bulge.q_update") q_calls += s.calls;
+      if (s.name == "bulge.chase.sweep") sweep_calls += s.calls;
+    }
+    EXPECT_EQ(q_calls, 1);
+    EXPECT_EQ(sweep_calls, 1) << "the chase's time, summed over d = 8 .. 2";
+    EXPECT_GT(ctx.telemetry().stage_seconds("bulge.q_update"), 0.0);
+    EXPECT_GT(ctx.telemetry().stage_seconds("bulge.chase.sweep"), 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -680,24 +774,30 @@ void expect_applier_matches_naive(index_t n) {
   Matrix<T> ref = q0;
   naive_replay(ref.view(), bw, logs);
 
-  tc::Fp32Engine eng;
   for (const bool scalar : {true, false}) {
     std::optional<blas::simd::ScalarKernelScope> force;
     if (scalar) force.emplace();
-    for (const int lanes : {1, 2, 3, 5, 8}) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n << " lanes=" << lanes << " kernels="
+    for (const bool packed : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " packed=" << packed << " kernels="
                                         << blas::simd::active_level_name());
-      Context ctx(eng);
       Matrix<T> got = q0;
+      Workspace ws;
       {
-        Workspace::Scope scope(ctx.workspace());
-        bulge::QUpdate<T> qu(got.view(), ctx.workspace(), nullptr, &bulge_test_pool(), lanes);
+        Workspace::Scope scope(ws);
+        const bulge::QUpdate<T> qu(got.view(), ws, packed);
+        if (packed)
+          for (index_t p = 0; p < qu.panels(); ++p) qu.pack(p);
         std::size_t li = 0;
         for (index_t d = std::min(bw, n - 1); d >= 2; --d, ++li) {
-          std::copy(logs[li].begin(), logs[li].end(), qu.log());
-          qu.apply(d);
+          std::copy(logs[li].begin(), logs[li].end(), qu.log(d));
+          if (packed) {
+            for (index_t p = 0; p < qu.panels(); ++p) qu.apply(p, d);
+          } else {
+            qu.apply_in_place(d);
+          }
         }
-        qu.finish();
+        if (packed)
+          for (index_t p = 0; p < qu.panels(); ++p) qu.unpack(p);
       }
       EXPECT_EQ(std::memcmp(ref.data(), got.data(),
                             sizeof(T) * static_cast<std::size_t>(rows * n)),
@@ -716,26 +816,33 @@ TEST_P(BulgeQUpdate, MatchesNaiveReplayBitwise) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BulgeQUpdate,
                          ::testing::Values<index_t>(2, 3, 7, 64, 129, 257, 1031));
 
-// The bulge_threads routing shim: 1 = serial, >= 2 = forced wavefront on the
-// shared gemm pool — all bitwise-identical.
+// The bulge_threads routing shim: 1 = one lane, >= 2 = forced lanes on the
+// shared gemm pool, 0 = auto — all bitwise-identical, with and without Q.
 TEST(BulgeWavefront, AutoRouteIsBitwiseInvariant) {
-  const index_t n = 80, bw = 8;  // n < kAutoWavefrontMinN: auto stays serial
+  const index_t n = 80, bw = 8;  // n < kAutoWavefrontMinN: values-only auto stays serial
   auto a = random_band<float>(n, bw, 31);
   tc::Fp32Engine eng;
 
-  std::vector<bulge::BulgeResult<float>> results;
-  for (int threads : {0, 1, 2, 8}) {
-    Context ctx(eng);
-    auto work = a;
-    results.push_back(bulge::bulge_chase_auto<float>(ctx, work.view(), bw, nullptr, threads));
-  }
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[0].d.size(), results[r].d.size());
-    for (std::size_t i = 0; i < results[0].d.size(); ++i) {
-      EXPECT_EQ(results[0].d[i], results[r].d[i]);
-      if (i + 1 < results[0].d.size()) {
-        EXPECT_EQ(results[0].e[i], results[r].e[i]);
-      }
+  for (const bool with_q : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "with_q=" << with_q);
+    std::vector<bulge::BulgeResult<float>> results;
+    std::vector<Matrix<float>> qs;
+    for (int threads : {0, 1, 2, 8}) {
+      Context ctx(eng);
+      auto work = a;
+      Matrix<float> q(n, n);
+      set_identity(q.view());
+      auto qv = q.view();
+      results.push_back(bulge::bulge_chase_auto<float>(ctx, work.view(), bw,
+                                                       with_q ? &qv : nullptr, threads));
+      qs.push_back(std::move(q));
+    }
+    for (std::size_t r = 1; r < results.size(); ++r) {
+      EXPECT_EQ(results[0].d, results[r].d);
+      EXPECT_EQ(results[0].e, results[r].e);
+      EXPECT_EQ(std::memcmp(qs[0].data(), qs[r].data(),
+                            sizeof(float) * static_cast<std::size_t>(n * n)),
+                0);
     }
   }
 }

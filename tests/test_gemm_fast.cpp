@@ -416,7 +416,7 @@ TEST(SimdDispatch, RefreshHonorsEnvOverride) {
     EXPECT_EQ(simd::kernels().level, simd::Level::Avx512) << simd::active_level_reason();
     EXPECT_NE(simd::kernels().gemm_f32_fp16, nullptr);
     EXPECT_NE(simd::kernels().gemm_f32_fp16, simd::kernels().gemm_f32);
-    EXPECT_NE(simd::kernels().rot_sweep_f32, nullptr);
+    EXPECT_NE(simd::kernels().rot_wave_f32, nullptr);
   } else {
     EXPECT_EQ(simd::kernels().level, detected_level()) << simd::active_level_reason();
   }
@@ -648,50 +648,80 @@ TEST(SimdConvert, EcSplitBufferBitwiseEqualsScalarReference) {
   }
 }
 
-// The bulge Q update's rotation-sweep kernel: whatever level dispatch
-// resolved must match the scalar reference bit for bit — row counts around
-// the vector widths, skipped rotations, signed zeros and subnormals included.
+// The bulge Q update's rotation-wave kernel: the scalar wave reference and
+// whatever vector level dispatch resolved must both equal the serial
+// sweep-by-sweep replay through rot_sweep_scalar bit for bit. Diagonal
+// distances 2..5 and 31, 32 cover every lag pattern (floor(2j/d) steps by
+// one every sweep at d = 2, never within a 16-sweep group at d = 32); every
+// group size up to QUpdate's; row counts that are not a multiple of a vector
+// or of a panel; a leading dimension wider than the rows (the in-place
+// strips); skip markers, signed zeros and subnormals in the data.
 template <typename T>
-void expect_rot_sweep_matches_scalar(simd::RotSweepFn<T> kernel) {
-  constexpr index_t kCols = 40;
+void expect_rot_wave_matches_serial(simd::RotWaveFn<T> kernel) {
+  constexpr index_t kCols = 97;
+  constexpr index_t kMaxGroup = 32;
   Rng rng(4711);
-  for (const index_t h : {index_t{1}, index_t{5}, index_t{8}, index_t{15}, index_t{16},
-                          index_t{17}, index_t{64}, index_t{131}}) {
-    for (const index_t stride : {index_t{2}, index_t{3}}) {
-      SCOPED_TRACE(::testing::Message() << "h=" << h << " stride=" << stride);
-      Matrix<T> base(h, kCols);
-      fill_normal(rng, base.view());
-      for (index_t j = 0; j < kCols; ++j) {
-        base(0, j) = (j % 2 == 0) ? -T{} : T{};
-        if (h > 2) base(2, j) = std::numeric_limits<T>::denorm_min() * static_cast<T>(j + 1);
+  for (const index_t h : {index_t{1}, index_t{5}, index_t{17}, index_t{30}, index_t{60},
+                          index_t{64}, index_t{67}, index_t{120}, index_t{128}, index_t{131}}) {
+    const index_t ld = h + (h % 2 == 0 ? 0 : 3);
+    Matrix<T> base(ld, kCols);
+    fill_normal(rng, base.view());
+    for (index_t j = 0; j < kCols; ++j) {
+      base(0, j) = (j % 2 == 0) ? -T{} : T{};
+      if (h > 2) base(2, j) = std::numeric_limits<T>::denorm_min() * static_cast<T>(j + 1);
+    }
+    for (const index_t d : {index_t{2}, index_t{3}, index_t{4}, index_t{5}, index_t{31},
+                            index_t{32}}) {
+      for (const index_t s0 : {index_t{0}, index_t{7}}) {
+        for (index_t m = 1; m <= kMaxGroup; ++m) {
+          SCOPED_TRACE(::testing::Message() << "h=" << h << " d=" << d << " s0=" << s0
+                                            << " m=" << m);
+          index_t count = 0;
+          for (index_t s = s0; s < s0 + m; ++s) count += (kCols - 1 - s) / d;
+          std::vector<T> cs(2 * static_cast<std::size_t>(count));
+          for (index_t r = 0; r < count; ++r) {
+            const T f = static_cast<T>(rng.normal());
+            const T g = static_cast<T>(rng.normal());
+            const T hyp = std::hypot(f, g);
+            cs[2 * r] = (r % 5 == 3) ? blas::kRotSkip<T> : f / hyp;
+            cs[2 * r + 1] = g / hyp;
+          }
+          Matrix<T> ref = base;
+          const T* log = cs.data();
+          for (index_t s = s0; s < s0 + m; ++s) {
+            const index_t len = (kCols - 1 - s) / d;
+            blas::rot_sweep_scalar<T>(ref.data(), ld, h, s + d - 1, d, len, log);
+            log += 2 * len;
+          }
+          Matrix<T> wave = base;
+          blas::rot_wave_scalar<T>(wave.data(), ld, h, kCols, d, s0, m, cs.data());
+          ASSERT_EQ(std::memcmp(ref.data(), wave.data(),
+                                sizeof(T) * static_cast<std::size_t>(ld * kCols)),
+                    0)
+              << "scalar wave order";
+          if (kernel != nullptr) {
+            Matrix<T> got = base;
+            kernel(got.data(), ld, h, kCols, d, s0, m, cs.data());
+            ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                  sizeof(T) * static_cast<std::size_t>(ld * kCols)),
+                      0)
+                << "vector wave kernel";
+          }
+        }
       }
-      const index_t count = (kCols - 2) / stride;
-      std::vector<T> cs(2 * static_cast<std::size_t>(count));
-      for (index_t j = 0; j < count; ++j) {
-        const T f = static_cast<T>(rng.normal());
-        const T g = static_cast<T>(rng.normal());
-        const T r = std::hypot(f, g);
-        cs[2 * j] = (j % 4 == 1) ? blas::kRotSkip<T> : f / r;
-        cs[2 * j + 1] = g / r;
-      }
-      Matrix<T> ref = base;
-      Matrix<T> got = base;
-      blas::rot_sweep_scalar<T>(ref.data(), h, h, 1, stride, count, cs.data());
-      kernel(got.data(), h, h, 1, stride, count, cs.data());
-      ASSERT_EQ(std::memcmp(ref.data(), got.data(), sizeof(T) * static_cast<std::size_t>(h * kCols)),
-                0);
     }
   }
 }
 
-TEST(SimdRotSweep, BitwiseEqualsScalarReference) {
+TEST(SimdRotWave, BitwiseEqualsSerialReplay) {
   const simd::KernelTable& kt = simd::active_kernels();
-  if (kt.rot_sweep_f32 == nullptr || kt.rot_sweep_f64 == nullptr) {
-    EXPECT_EQ(kt.level, simd::Level::Scalar) << "a vector level must install both rotation kernels";
-    GTEST_SKIP() << "no vector rotation kernel at level " << kt.name;
+  if (kt.level != simd::Level::Scalar) {
+    EXPECT_NE(kt.rot_wave_f32, nullptr) << "a vector level must install both rotation kernels";
+    EXPECT_NE(kt.rot_wave_f64, nullptr) << "a vector level must install both rotation kernels";
   }
-  expect_rot_sweep_matches_scalar<float>(kt.rot_sweep_f32);
-  expect_rot_sweep_matches_scalar<double>(kt.rot_sweep_f64);
+  SCOPED_TRACE(kt.name);
+  expect_rot_wave_matches_serial<float>(kt.rot_wave_f32);
+  expect_rot_wave_matches_serial<double>(kt.rot_wave_f64);
 }
 
 // ---------------------------------------------------------------------------
@@ -885,6 +915,18 @@ TEST(SimdGemm, Avx512BitwiseEqualsScalarReference) {
   expect_kernels_match_scalar<float>(kt.gemm_f32_fp16, kt.gemm_pair_f32_fp16, h1, h2,
                                      fp16_probe_values(na, 13), fp16_probe_values(nb, 14),
                                      "f32 fp16-operand");
+}
+
+// Every rotation-wave family this host can run, not only the resolved one:
+// the AVX2 twin stays pinned on an AVX-512 host too.
+TEST(SimdRotWave, EveryFamilyBitwiseEqualsSerialReplay) {
+  for (const char* level : {"avx2", "auto"}) {
+    SimdEnvScope env(level);
+    const simd::KernelTable& kt = simd::kernels();
+    SCOPED_TRACE(kt.name);
+    expect_rot_wave_matches_serial<float>(kt.rot_wave_f32);
+    expect_rot_wave_matches_serial<double>(kt.rot_wave_f64);
+  }
 }
 
 // ---------------------------------------------------------------------------

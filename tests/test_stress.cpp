@@ -297,13 +297,15 @@ TEST(BroadcastStress, WorkersSurviveBackToBackBroadcasts) {
 }
 
 // ---------------------------------------------------------------------------
-// Wavefront bulge chasing under contention: repeated chases broadcasting on a
+// Parallel bulge chasing under contention: repeated chases broadcasting on a
 // shared pool while solve_many traffic churns on ANOTHER pool's workers. The
-// chase's progress-vector spins, per-chunk release publishes, and the block
-// ticket all run with lanes preempted mid-chunk (oversubscribed machine), and
-// every chase must still be bitwise-equal to the serial reference. Run under
-// TSan in CI — the acquire/release protocol on the progress vector is the
-// happens-before spine the whole scheduler leans on.
+// wavefront's progress-vector spins, per-chunk release publishes and block
+// ticket, and the overlapped Q update's panel claims and double-buffered
+// rotation logs, all run with lanes preempted mid-step (oversubscribed
+// machine), and every chase must still be bitwise-equal to the serial
+// reference. Run under TSan in CI — the acquire/release protocol on the
+// progress vector and the broadcast joins between diagonals are the
+// happens-before spine both schedules lean on.
 // ---------------------------------------------------------------------------
 
 TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
@@ -348,17 +350,22 @@ TEST(BulgeWavefrontStress, RepeatedChasesUnderConcurrentSolveTraffic) {
     auto qs = q_serial.view();
     auto ref = bulge::bulge_chase<double>(a.view(), bw, &qs);
 
-    auto qw = q_wave.view();
     bulge::WavefrontOptions wopt;
     wopt.pool = &chase_pool;
     wopt.sweep_block = 1 + static_cast<index_t>(rng.bounded(8));
     wopt.tile_rows = 1 + static_cast<index_t>(rng.bounded(192));
-    auto got = bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, &qw, wopt);
+    auto wave = bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, wopt);
 
-    for (std::size_t i = 0; i < ref.d.size(); ++i)
-      if (ref.d[i] != got.d[i]) ++mismatches;
-    for (std::size_t i = 0; i < ref.e.size(); ++i)
-      if (ref.e[i] != got.e[i]) ++mismatches;
+    auto qw = q_wave.view();
+    const int lanes = 2 + static_cast<int>(rng.bounded(kThreads));
+    auto got = bulge::bulge_chase(ctx, a.view(), bw, &qw, &chase_pool, lanes);
+
+    for (const auto* res : {&wave, &got}) {
+      for (std::size_t i = 0; i < ref.d.size(); ++i)
+        if (ref.d[i] != res->d[i]) ++mismatches;
+      for (std::size_t i = 0; i < ref.e.size(); ++i)
+        if (ref.e[i] != res->e[i]) ++mismatches;
+    }
     for (index_t j = 0; j < n; ++j)
       for (index_t i = 0; i < n; ++i)
         if (q_serial(i, j) != q_wave(i, j)) ++mismatches;

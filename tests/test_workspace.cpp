@@ -15,6 +15,7 @@
 #include "src/evd/evd.hpp"
 #include "src/tensorcore/engine.hpp"
 #include "src/tensorcore/tc_gemm.hpp"
+#include "src/tsqr/tsqr.hpp"
 #include "heap_counter.hpp"
 #include "test_util.hpp"
 
@@ -166,11 +167,11 @@ TEST(Context, StageTimerAccumulatesByName) {
 // The allocation-regression guarantee of the refactor: a second evd::solve
 // of the same shape on the same Context must not grow the arena at all —
 // no new blocks, no spills — regardless of how accurate workspace_query is.
-/// A vectors solve through the two-stage DBR reduction at a size
-/// (kWavefrontN) where the bulge stage takes the wavefront and the pooled Q
-/// update with its packed row blocks.
-constexpr index_t kWavefrontN = bulge::kAutoWavefrontMinN;
-evd::EvdOptions wavefront_vectors_options() {
+/// A vectors solve through the two-stage DBR reduction at a size (kPooledN)
+/// where the TSQR panels have several leaves and the bulge stage overlaps
+/// the chase with the pooled Q update on its packed panels.
+constexpr index_t kPooledN = 384;
+evd::EvdOptions dbr_vectors_options() {
   evd::EvdOptions opt;
   opt.reduction = evd::Reduction::TwoStageDbr;
   opt.bandwidth = 8;
@@ -211,7 +212,7 @@ TEST(Workspace, SteadyStateEvdSolveReusesArena) {
   opt.vectors = true;
   opt.solver = evd::TriSolver::Bisection;  // exercises the arena-heavy path
   expect_steady_state_solve(96, opt);
-  expect_steady_state_solve(kWavefrontN, wavefront_vectors_options());
+  expect_steady_state_solve(kPooledN, dbr_vectors_options());
 }
 
 // solve_many's steady-state contract: a Context reused across a 16-problem
@@ -323,13 +324,13 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
   wopt.pool = &pool;
 
   // Warm-up: sizes the arena, interns the stage names, spins up the pool.
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
+  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, wopt);
   (void)bulge::bulge_chase(ctx, a.view(), bw, nullptr);
   const std::size_t blocks = ctx.workspace().block_count();
   const long spills = ctx.workspace().spill_count();
 
   const std::uint64_t before = test::heap_allocs();
-  auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
+  auto r_wave = bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, wopt);
   const std::uint64_t mid = test::heap_allocs();
   auto r_serial = bulge::bulge_chase(ctx, a.view(), bw, nullptr);
   const std::uint64_t after = test::heap_allocs();
@@ -343,12 +344,12 @@ TEST(Workspace, SteadyStateWavefrontChaseMatchesSerialAllocations) {
     EXPECT_EQ(r_wave.d[i], r_serial.d[i]);
 }
 
-// With Q, the wavefront chase's rotation log and packed Q row blocks also
-// come from the warm arena and the Q update fans out through try_broadcast:
-// the with-Q chase allocates exactly what the chase without Q does (the
-// d/e result vectors) — zero heap allocations for the Q update — serial or
+// With Q, the rotation logs and packed Q panels also come from the warm
+// arena and the overlapped Q update fans out through try_broadcast: the
+// with-Q chase allocates exactly what the chase without Q does (the d/e
+// result vectors) — zero heap allocations for the Q update — in place or
 // pooled.
-TEST(Workspace, SteadyStateWavefrontChaseWithQIsAllocationFree) {
+TEST(Workspace, SteadyStateChaseWithQIsAllocationFree) {
   const index_t n = 128, bw = 8;
   Rng rng(2025);
   Matrix<double> a(n, n);
@@ -359,13 +360,11 @@ TEST(Workspace, SteadyStateWavefrontChaseWithQIsAllocationFree) {
   tc::Fp32Engine eng;
   Context ctx(eng);
   ThreadPool pool(3);
-  bulge::WavefrontOptions wopt;
-  wopt.pool = &pool;
 
   // Warm-up: sizes the arena, interns the stage names, spins up the pool.
   Matrix<double> q_warm(n, n);
   auto qv_warm = q_warm.view();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, &qv_warm, wopt);
+  (void)bulge::bulge_chase(ctx, a.view(), bw, &qv_warm, &pool);
   (void)bulge::bulge_chase(ctx, a.view(), bw, &qv_warm);
   const std::size_t blocks = ctx.workspace().block_count();
   const long spills = ctx.workspace().spill_count();
@@ -377,22 +376,43 @@ TEST(Workspace, SteadyStateWavefrontChaseWithQIsAllocationFree) {
   auto qv1 = q1.view();
   auto qv2 = q2.view();
   const std::uint64_t before = test::heap_allocs();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, nullptr, wopt);
+  (void)bulge::bulge_chase(ctx, a.view(), bw, nullptr);
   const std::uint64_t plain = test::heap_allocs() - before;
   const std::uint64_t mid = test::heap_allocs();
-  (void)bulge::bulge_chase_wavefront<double>(ctx, a.view(), bw, &qv1, wopt);
-  const std::uint64_t with_q = test::heap_allocs() - mid;
+  (void)bulge::bulge_chase(ctx, a.view(), bw, &qv1, &pool);
+  const std::uint64_t pooled_q = test::heap_allocs() - mid;
   const std::uint64_t mid2 = test::heap_allocs();
   (void)bulge::bulge_chase(ctx, a.view(), bw, &qv2);
   const std::uint64_t serial_q = test::heap_allocs() - mid2;
 
-  EXPECT_EQ(with_q, plain) << "the pooled Q update allocated " << (with_q - plain);
+  EXPECT_EQ(pooled_q, plain) << "the pooled Q update allocated " << (pooled_q - plain);
   EXPECT_EQ(serial_q, plain) << "the in-place Q update allocated " << (serial_q - plain);
   EXPECT_EQ(ctx.workspace().block_count(), blocks) << "steady-state chase grew the arena";
   EXPECT_EQ(ctx.workspace().spill_count(), spills) << "steady-state chase spilled";
   EXPECT_EQ(ctx.workspace().bytes_in_use(), 0u);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < n; ++i) EXPECT_EQ(q1(i, j), q2(i, j));
+}
+
+// The DBR panel's TSQR takes every leaf's factors, tau and reflector
+// scratch from the arena: a steady-state factorization of a panel tall
+// enough for several leaves and combine levels allocates nothing.
+TEST(Workspace, SteadyStateTsqrIsAllocationFree) {
+  const index_t m = 1024, n = 32;
+  Rng rng(2026);
+  Matrix<float> a(m, n), q(m, n), r(n, n);
+  fill_normal(rng, a.view());
+  tc::Fp32Engine eng;
+  Context ctx(eng);
+  ASSERT_TRUE(tsqr::tsqr_factor(ctx, a.view(), q.view(), r.view()).ok());  // warm-up
+  const std::size_t blocks = ctx.workspace().block_count();
+
+  const std::uint64_t before = test::heap_allocs();
+  const Status st = tsqr::tsqr_factor(ctx, a.view(), q.view(), r.view());
+  const std::uint64_t allocs = test::heap_allocs() - before;
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(allocs, 0u) << "steady-state TSQR allocated " << allocs << " times";
+  EXPECT_EQ(ctx.workspace().block_count(), blocks);
 }
 
 TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
@@ -408,15 +428,15 @@ TEST(Workspace, WorkspaceQueryCoversEvdSolve) {
     EXPECT_TRUE(res.converged);
     EXPECT_EQ(ctx.workspace().spill_count(), 0) << "workspace_query undersized the arena";
     EXPECT_LE(ctx.workspace().high_water_mark(), evd::workspace_query(n, opt));
-    return ctx.telemetry().stage_seconds("bulge.chase.wavefront");
+    return ctx.telemetry().stage_seconds("bulge.q_update");
   };
   evd::EvdOptions opt;
   opt.bandwidth = 8;
   opt.big_block = 16;
   opt.vectors = true;
   expect_covered(80, opt);
-  EXPECT_GT(expect_covered(kWavefrontN, wavefront_vectors_options()), 0.0)
-      << "n = " << kWavefrontN << " should take the wavefront bulge chase";
+  EXPECT_GT(expect_covered(kPooledN, dbr_vectors_options()), 0.0)
+      << "n = " << kPooledN << " should update Q in the bulge chase";
 }
 
 }  // namespace
